@@ -1,7 +1,7 @@
 """Spatial-adaptive image denoising on a minimal autodiff tensor core."""
 
-from .data import (ImageBuffer, NoiseSpec, add_awgn, augment, extract_patches,
-                   from_tensor, load_image, save_image, to_tensor)
+from .data import (ImageBuffer, NoiseSpec, add_awgn, augment, from_tensor,
+                   load_image, save_image, to_tensor)
 from .deform import bilinear_sample, modulated_deform_conv2d
 from .errors import ConfigurationError, DataError, NumericError, UsageError
 from .metrics import MetricReport, psnr, ssim
@@ -18,8 +18,8 @@ __all__ = [
     "MetricReport", "ModelConfig", "NoiseSpec", "NumericError", "SADNet",
     "Tensor", "TrainConfig", "UsageError", "adam_step", "add_awgn", "augment",
     "bilinear_sample", "conv2d", "conv2d_transpose", "count_params_flops",
-    "denoise_image", "evaluate", "export_offsets", "extract_patches",
-    "from_tensor", "load_image", "loss", "lr_schedule",
+    "denoise_image", "evaluate", "export_offsets", "from_tensor",
+    "load_image", "loss", "lr_schedule",
     "modulated_deform_conv2d", "psnr", "save_image", "ssim", "to_tensor",
     "train", "upsample_offsets",
 ]

@@ -139,13 +139,18 @@ def load_checkpoint(path) -> Checkpoint:
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = r.unpack("<I")
-    config = ModelConfig.from_dict(json.loads(r.take(cfg_len).decode("utf-8")))
+    cfg_blob = r.take(cfg_len)
     (iteration,) = r.unpack("<Q")
     lr, beta1, beta2, eps = r.unpack("<dddd")
     (t,) = r.unpack("<Q")
     (rng_len,) = r.unpack("<I")
-    rng_state = (_restore(json.loads(r.take(rng_len).decode("utf-8")))
-                 if rng_len else None)
+    rng_blob = r.take(rng_len)
+    try:
+        config = ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
+        rng_state = (_restore(json.loads(rng_blob.decode("utf-8")))
+                     if rng_len else None)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad model config or RNG state: {exc!r}") from exc
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     order: list[str] = []

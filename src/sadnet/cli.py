@@ -79,6 +79,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.height < 1 or args.width < 1:
+        raise UsageError(f"--height and --width must be positive, got "
+                         f"{args.height}x{args.width}")
     if args.config is not None:
         cfg = parse_train_config(args.config).model
     else:

@@ -1,4 +1,4 @@
-"""Image I/O, synthetic noise, patch extraction, and dihedral augmentation.
+"""Image I/O, synthetic noise, and dihedral augmentation.
 
 Images travel as binary PGM (P5, grayscale) / PPM (P6, color) with maxval
 255 so round trips are bit-exact without any image library. All randomness
@@ -139,7 +139,7 @@ def from_tensor(t: Tensor) -> ImageBuffer:
 
 
 # ---------------------------------------------------------------------------
-# Noise, patches, augmentation
+# Noise and augmentation
 # ---------------------------------------------------------------------------
 
 
@@ -152,20 +152,6 @@ def add_awgn(image: Tensor, spec: NoiseSpec) -> Tensor:
     rng = make_rng(spec.seed)
     noise = rng.normal(0.0, spec.sigma / 255.0, size=image.shape)
     return Tensor(image.data + noise.astype(image.data.dtype))
-
-
-def extract_patches(image: Tensor, size: int, count: int, seed: int) -> list[Tensor]:
-    """Uniformly random size x size crops, reproducible by seed."""
-    _, c, h, w = image.shape
-    if h < size or w < size:
-        raise UsageError(f"image {h}x{w} smaller than patch size {size}")
-    rng = make_rng(seed)
-    patches = []
-    for _ in range(count):
-        top = int(rng.integers(0, h - size + 1))
-        left = int(rng.integers(0, w - size + 1))
-        patches.append(Tensor(image.data[:, :, top:top + size, left:left + size].copy()))
-    return patches
 
 
 def augment(patch: Tensor, code: int) -> Tensor:
@@ -217,8 +203,11 @@ def read_manifest(path) -> list[ManifestEntry]:
                     raise DataError(
                         f"{path}:{lineno}: expected 4 tab-separated fields, "
                         f"got {len(parts)}")
-                entries.append(ManifestEntry(parts[0], parts[1],
-                                             float(parts[2]), int(parts[3])))
+                try:
+                    entries.append(ManifestEntry(
+                        parts[0], parts[1], float(parts[2]), int(parts[3])))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     return entries

@@ -6,9 +6,19 @@ learned modulation scalar in [0, 1], then applies the standard kernel
 weights. Sampling outside the image contributes 0 (zero-padding rule), and
 coordinates are never clipped.
 
+This is the column form of DCNv2 (Zhu et al. 2019, arXiv:1811.11168): per
+kernel tap, one gather fetches the four bilinear corners of every sampling
+point, and their blend times the modulation fills that tap's rows of a
+``tensor._im2col``-layout column buffer; one GEMM gives the output. Backward
+keeps the columns and corners and recomputes coordinates and samples per tap.
+
 Gradient convention at exact integer coordinates: the surrounding-4-pixel
 bilinear formula with floor() anchoring, i.e. the one-sided derivative from
 the upper cell. Gradient checks must perturb offsets away from integers.
+
+Determinism: taps run in row-major order and the input gradient is
+scatter-added with ``np.bincount``, so identical inputs give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -16,9 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _node
-
-OFFSET_CHANNELS_PER_TAP = 2  # (dy, dx) interleaved, kernel taps in row-major order
+from .tensor import Tensor, _bias_grad, _node, _weight_grad
 
 
 def bilinear_sample(feature: np.ndarray, y: float, x: float,
@@ -41,20 +49,49 @@ def bilinear_sample(feature: np.ndarray, y: float, x: float,
     return val
 
 
-def _gather(flat: np.ndarray, iy: np.ndarray, ix: np.ndarray,
-            h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fetch (n, c, oh, ow) pixel values at integer coords, 0 outside.
+# Which corners sit one pixel further down / right; corner order is
+# (y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1).
+_NEXT_Y = np.array([False, False, True, True])[None, :, None]
+_NEXT_X = np.array([False, True, False, True])[None, :, None]
 
-    flat is the input reshaped to (n, c, h*w); iy/ix are (n, oh, ow).
-    Returns (values, in-bounds mask broadcastable over channels).
+
+def _tap_corners(offsets: np.ndarray, k: int, kw: int, padding, h: int, w: int,
+                 dtype):
+    """The four bilinear corners of kernel tap k at every output pixel.
+
+    Returns (idx, wts, wts_dy, wts_dx), each (n, 4, oh*ow): flat pixel index
+    clipped into the image; bilinear weight, 0 outside the image; and the
+    weight's derivatives along the sampling coordinates.
     """
+    n, _, oh, ow = offsets.shape
+    ki, kj = divmod(k, kw)
+    py = (np.arange(oh, dtype=dtype)[:, None] - padding[0] + ki
+          + offsets[:, 2 * k]).reshape(n, 1, -1)
+    px = (np.arange(ow, dtype=dtype) - padding[1] + kj
+          + offsets[:, 2 * k + 1]).reshape(n, 1, -1)
+    y0, x0 = np.floor(py), np.floor(px)
+    fy, fx = py - y0, px - x0
+    iy = y0.astype(np.int64) + _NEXT_Y
+    ix = x0.astype(np.int64) + _NEXT_X
     inb = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    idx = (np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1))
+    idx = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
+    wy = np.where(_NEXT_Y, fy, 1 - fy) * inb
+    wx = np.where(_NEXT_X, fx, 1 - fx)
+    wts_dy = np.where(_NEXT_Y, wx, -wx) * inb
+    wts_dx = np.where(_NEXT_X, wy, -wy)
+    return idx, wy * wx, wts_dy, wts_dx
+
+
+def _gather(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Pixels (n, c, 4, L) of flat (n, c, h*w) at the corner indices idx."""
     n, c = flat.shape[:2]
-    idx_b = np.broadcast_to(idx.reshape(n, 1, -1), (n, c, idx[0].size))
-    vals = np.take_along_axis(flat, idx_b, axis=2).reshape(n, c, *iy.shape[1:])
-    vals = vals * inb[:, None, :, :]
-    return vals, inb[:, None, :, :]
+    full = np.broadcast_to(idx.reshape(n, 1, -1), (n, c, idx[0].size))
+    return np.take_along_axis(flat, full, axis=2).reshape(n, c, *idx.shape[1:])
+
+
+def _blend(coef: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Sum over the 4 corners of coef (n, 4, L) times corners (n, c, 4, L)."""
+    return sum(coef[:, None, j] * corners[:, :, j] for j in range(4))
 
 
 def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -85,32 +122,21 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             f"{(n, k_taps, out_h, out_w)}")
 
     dtype = x.data.dtype
+    size = out_h * out_w
     flat = x.data.reshape(n, c, h * w)
-    grid_y = np.arange(out_h, dtype=dtype)[None, :, None]
-    grid_x = np.arange(out_w, dtype=dtype)[None, None, :]
-
-    y_out = np.zeros((n, o, out_h, out_w), dtype=dtype)
-    saved = []  # per-tap state for backward
+    mod = masks.data.reshape(n, k_taps, 1, size)
+    # deformable columns in tensor._im2col's layout; corners kept for backward
+    cols = np.empty((n, c, k_taps, size), dtype=dtype)
+    corners = []
     for k in range(k_taps):
-        ki, kj = divmod(k, kw)
-        py = grid_y - ph + ki + offsets.data[:, 2 * k]
-        px = grid_x - pw + kj + offsets.data[:, 2 * k + 1]
-        y0 = np.floor(py).astype(np.int64)
-        x0 = np.floor(px).astype(np.int64)
-        fy = (py - y0).astype(dtype)[:, None]
-        fx = (px - x0).astype(dtype)[:, None]
-        v00, _ = _gather(flat, y0, x0, h, w)
-        v01, _ = _gather(flat, y0, x0 + 1, h, w)
-        v10, _ = _gather(flat, y0 + 1, x0, h, w)
-        v11, _ = _gather(flat, y0 + 1, x0 + 1, h, w)
-        sample = ((1 - fy) * (1 - fx) * v00 + (1 - fy) * fx * v01
-                  + fy * (1 - fx) * v10 + fy * fx * v11)
-        modulated = sample * masks.data[:, k][:, None]
-        y_out += np.einsum("nchw,oc->nohw", modulated, weight.data[:, :, ki, kj],
-                           optimize=True)
-        saved.append((y0, x0, fy, fx, v00, v01, v10, v11, sample))
+        idx, wts, _, _ = _tap_corners(offsets.data, k, kw, padding, h, w, dtype)
+        v = _gather(flat, idx)
+        cols[:, :, k] = _blend(wts, v) * mod[:, k]
+        corners.append(v)
+    cols = cols.reshape(n, c * k_taps, size)
+    y = (weight.data.reshape(o, -1) @ cols).reshape(n, o, out_h, out_w)
     if bias is not None:
-        y_out += bias.data
+        y += bias.data
 
     prev = [x, weight, offsets, masks]
     if bias is not None:
@@ -118,59 +144,35 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def make_backward(out: Tensor):
         def _backward():
-            gy = out.grad
+            gy = out.grad.reshape(n, o, size)
             if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gy.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1))
-            g_off = np.zeros_like(offsets.data) if offsets.requires_grad else None
-            g_mask = np.zeros_like(masks.data) if masks.requires_grad else None
-            g_w = np.zeros_like(weight.data) if weight.requires_grad else None
-            gx_flat = (np.zeros(n * c * h * w, dtype=dtype)
-                       if x.requires_grad else None)
-            cc = np.arange(c, dtype=np.int64)[None, :, None, None]
-            nn = (np.arange(n, dtype=np.int64)[:, None, None, None] * c + cc) * (h * w)
+                bias.accumulate_grad(_bias_grad(out.grad))
+            if weight.requires_grad:
+                weight.accumulate_grad(
+                    _weight_grad(gy, cols).reshape(weight.shape))
+            gcols = (weight.data.reshape(o, -1).T @ gy).reshape(
+                n, c, k_taps, size)
+            mod = masks.data.reshape(n, k_taps, 1, size)
+            g_off = np.zeros((n, 2 * k_taps, size), dtype=offsets.dtype)
+            g_mask = np.zeros((n, k_taps, size), dtype=masks.dtype)
+            gx = np.zeros(n * c * h * w, dtype=dtype)
+            base = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
             for k in range(k_taps):
-                ki, kj = divmod(k, kw)
-                y0, x0, fy, fx, v00, v01, v10, v11, sample = saved[k]
-                mod = masks.data[:, k][:, None]
-                # grad wrt the per-tap modulated sample
-                g_ms = np.einsum("nohw,oc->nchw", gy, weight.data[:, :, ki, kj],
-                                 optimize=True)
-                if g_w is not None:
-                    g_w[:, :, ki, kj] = np.einsum(
-                        "nohw,nchw->oc", gy, sample * mod, optimize=True)
-                if g_mask is not None:
-                    g_mask[:, k] = (g_ms * sample).sum(axis=1)
-                g_s = g_ms * mod
-                if g_off is not None:
-                    ds_dy = (-(1 - fx) * v00 - fx * v01
-                             + (1 - fx) * v10 + fx * v11)
-                    ds_dx = (-(1 - fy) * v00 + (1 - fy) * v01
-                             - fy * v10 + fy * v11)
-                    g_off[:, 2 * k] = (g_s * ds_dy).sum(axis=1)
-                    g_off[:, 2 * k + 1] = (g_s * ds_dx).sum(axis=1)
-                if gx_flat is not None:
-                    for iy, ix, wgt in (
-                        (y0, x0, (1 - fy) * (1 - fx)),
-                        (y0, x0 + 1, (1 - fy) * fx),
-                        (y0 + 1, x0, fy * (1 - fx)),
-                        (y0 + 1, x0 + 1, fy * fx),
-                    ):
-                        inb = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-                        idx = (np.clip(iy, 0, h - 1) * w
-                               + np.clip(ix, 0, w - 1))[:, None]
-                        contrib = g_s * wgt * inb[:, None]
-                        # bincount keeps the scatter-add deterministic and fast
-                        gx_flat += np.bincount(
-                            (nn + idx).ravel(), weights=contrib.ravel(),
-                            minlength=gx_flat.size).astype(dtype, copy=False)
-            if g_w is not None:
-                weight.accumulate_grad(g_w)
-            if g_mask is not None:
-                masks.accumulate_grad(g_mask)
-            if g_off is not None:
-                offsets.accumulate_grad(g_off)
-            if gx_flat is not None:
-                x.accumulate_grad(gx_flat.reshape(n, c, h, w))
+                idx, wts, wts_dy, wts_dx = _tap_corners(
+                    offsets.data, k, kw, padding, h, w, dtype)
+                v = corners[k]
+                g_mask[:, k] = (gcols[:, :, k] * _blend(wts, v)).sum(axis=1)
+                g_s = gcols[:, :, k] * mod[:, k]
+                g_off[:, 2 * k] = (g_s * _blend(wts_dy, v)).sum(axis=1)
+                g_off[:, 2 * k + 1] = (g_s * _blend(wts_dx, v)).sum(axis=1)
+                # bincount keeps the scatter-add deterministic and fast
+                gx += np.bincount(
+                    (base + idx[:, None]).ravel(),
+                    weights=(g_s[:, :, None] * wts[:, None]).ravel(),
+                    minlength=gx.size).astype(dtype, copy=False)
+            masks.accumulate_grad(g_mask.reshape(masks.shape))
+            offsets.accumulate_grad(g_off.reshape(offsets.shape))
+            x.accumulate_grad(gx.reshape(x.shape))
         return _backward
 
-    return _node(y_out, tuple(prev), make_backward)
+    return _node(y, tuple(prev), make_backward)

@@ -203,42 +203,36 @@ def upsample_offsets(offsets: Tensor, masks: Tensor) -> tuple[Tensor, Tensor]:
     return T.scale(bilinear_upsample_x2(offsets), 2.0), bilinear_upsample_x2(masks)
 
 
-def _upsample_axis_index(size: int, dtype):
-    # half-pixel-center mapping with edge replication
-    src = (np.arange(2 * size) + 0.5) / 2.0 - 0.5
+def _upsample_matrix(size: int, dtype) -> np.ndarray:
+    """(2*size, size) matrix of bilinear 2x upsampling along one axis.
+
+    Half-pixel-center mapping with edge replication: output i blends inputs
+    floor(s) and floor(s) + 1, s = (i + 0.5) / 2 - 0.5, both clipped.
+    """
+    rows = np.arange(2 * size)
+    src = (rows + 0.5) / 2.0 - 0.5
     i0f = np.floor(src)
     t = (src - i0f).astype(dtype)
-    i0 = np.clip(i0f, 0, size - 1).astype(np.int64)
-    i1 = np.clip(i0f + 1, 0, size - 1).astype(np.int64)
-    return i0, i1, t
+    a = np.zeros((2 * size, size), dtype=dtype)
+    a[rows, np.clip(i0f, 0, size - 1).astype(np.int64)] = 1 - t
+    a[rows, np.clip(i0f + 1, 0, size - 1).astype(np.int64)] += t
+    return a
 
 
 def bilinear_upsample_x2(x: Tensor) -> Tensor:
-    """Differentiable bilinear 2x spatial upsampling (half-pixel centers)."""
-    n, c, h, w = x.shape
-    dtype = x.data.dtype
-    iy0, iy1, ty = _upsample_axis_index(h, dtype)
-    ix0, ix1, tx = _upsample_axis_index(w, dtype)
-    ty_b = ty[None, None, :, None]
-    tx_b = tx[None, None, None, :]
-    xh = x.data[:, :, iy0, :] * (1 - ty_b) + x.data[:, :, iy1, :] * ty_b
-    y = xh[:, :, :, ix0] * (1 - tx_b) + xh[:, :, :, ix1] * tx_b
+    """Differentiable bilinear 2x spatial upsampling (half-pixel centers).
+
+    Separable: y = A_h @ x @ A_w.T with the per-axis interpolation matrices,
+    so the input gradient is A_h.T @ gy @ A_w.
+    """
+    _, _, h, w = x.shape
+    a_h = _upsample_matrix(h, x.data.dtype)
+    a_w = _upsample_matrix(w, x.data.dtype)
+    y = a_h @ x.data @ a_w.T
 
     def make_backward(out: Tensor):
         def _backward():
-            gy = out.grad
-            # scatter back along width, then height
-            gxh = np.zeros((n, c, 2 * h, w), dtype=dtype)
-            gxh_m = np.moveaxis(gxh, 3, 0)
-            gy_m = np.moveaxis(gy * (1 - tx_b), 3, 0)
-            np.add.at(gxh_m, ix0, gy_m)
-            gy_m = np.moveaxis(gy * tx_b, 3, 0)
-            np.add.at(gxh_m, ix1, gy_m)
-            gx = np.zeros_like(x.data)
-            gx_m = np.moveaxis(gx, 2, 0)
-            np.add.at(gx_m, iy0, np.moveaxis(gxh * (1 - ty_b), 2, 0))
-            np.add.at(gx_m, iy1, np.moveaxis(gxh * ty_b, 2, 0))
-            x.accumulate_grad(gx)
+            x.accumulate_grad(a_h.T @ out.grad @ a_w)
         return _backward
 
     return T._node(y, (x,), make_backward)

@@ -5,9 +5,14 @@ graph of backward closures; ``Tensor.backward()`` on a scalar output walks
 the graph in reverse topological order and accumulates gradients into the
 ``grad`` field of every reachable tensor with ``requires_grad=True``.
 
+Convolutions share one column-GEMM core: ``_im2col`` lays a padded input
+out as (n, c*kh*kw, oh*ow) columns, ``_col2im`` is its adjoint, and every
+product is a batched matmul with the (out_c, in_c*kh*kw) weight matrix.
+
 Determinism: all forward and backward computations are plain sequential
-numpy expressions; the reduction order is fixed (einsum / kernel-position
-loop order), so two runs on identical inputs produce bit-identical results.
+numpy expressions; the reduction order is fixed (GEMM over the columns,
+kernel positions in row-major order), so two runs on identical inputs
+produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -117,25 +119,53 @@ def conv_output_size(size: int, k: int, stride: int, dilation: int, pad: int) ->
     return (size + 2 * pad - dilation * (k - 1) - 1) // stride + 1
 
 
-def _im2col(xp: np.ndarray, out_h: int, out_w: int, kh: int, kw: int,
-            stride, dilation) -> np.ndarray:
-    """Gather kernel neighborhoods from a padded input.
-
-    Returns (n, c, out_h, out_w, kh, kw); loop over the <= k*k kernel
-    positions keeps the copy order fixed and cheap.
-    """
+def _windows(kh: int, kw: int, out_h: int, out_w: int, stride, dilation):
+    """Yield (tap, index) per kernel position, row-major; ``index`` selects
+    the out_h x out_w pixels of a padded (n, c, H, W) array that tap reads."""
     sh, sw = stride
     dh, dw = dilation
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, out_h, out_w, kh, kw), dtype=xp.dtype)
     for ki in range(kh):
         for kj in range(kw):
-            cols[:, :, :, :, ki, kj] = xp[
-                :, :,
-                ki * dh: ki * dh + sh * out_h: sh,
-                kj * dw: kj * dw + sw * out_w: sw,
-            ]
-    return cols
+            yield ki * kw + kj, (
+                Ellipsis,
+                slice(ki * dh, ki * dh + sh * (out_h - 1) + 1, sh),
+                slice(kj * dw, kj * dw + sw * (out_w - 1) + 1, sw))
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
+            stride, dilation) -> np.ndarray:
+    """Columns (n, c*kh*kw, out_h*out_w) of a padded input, ready for a GEMM.
+
+    Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``.
+    """
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=xp.dtype)
+    for tap, idx in _windows(kh, kw, out_h, out_w, stride, dilation):
+        cols[:, :, tap] = xp[idx]
+    return cols.reshape(n, c * kh * kw, out_h * out_w)
+
+
+def _col2im(cols: np.ndarray, shape, kh: int, kw: int, out_h: int, out_w: int,
+            stride, dilation) -> np.ndarray:
+    """Adjoint of ``_im2col``: sum columns back into a padded array of ``shape``."""
+    n, c = shape[:2]
+    cols = cols.reshape(n, c, kh * kw, out_h, out_w)
+    out = np.zeros(shape, dtype=cols.dtype)
+    for tap, idx in _windows(kh, kw, out_h, out_w, stride, dilation):
+        out[idx] += cols[:, :, tap]
+    return out
+
+
+def _weight_grad(gy: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum over the batch of gy[i] @ cols[i].T: (n, o, L), (n, K, L) -> (o, K).
+
+    A batched matmul then a sum; ``np.tensordot`` would copy the columns.
+    """
+    return np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _bias_grad(gy: np.ndarray) -> np.ndarray:
+    return gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -152,42 +182,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d channel mismatch: input shape {x.shape} has {c} channels, "
             f"weight shape {weight.shape} expects {ci}"
         )
-    sh, sw = stride
-    dh, dw = dilation
     ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, dh, ph)
-    out_w = conv_output_size(w, kw, sw, dw, pw)
+    out_h = conv_output_size(h, kh, stride[0], dilation[0], ph)
+    out_w = conv_output_size(w, kw, stride[1], dilation[1], pw)
     if out_h < 1 or out_w < 1:
         raise ConfigurationError(
             f"conv2d output would be empty: input {x.shape}, kernel {kh}x{kw}, "
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, out_h, out_w, kh, kw, stride, dilation)
-    y = np.einsum("nchwij,ocij->nohw", cols, weight.data, optimize=True)
+    cols = _im2col(xp, kh, kw, out_h, out_w, stride, dilation)
+    padded_shape = xp.shape
+    y = (weight.data.reshape(o, -1) @ cols).reshape(n, o, out_h, out_w)
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
 
     prev = (x, weight) if bias is None else (x, weight, bias)
 
     def make_backward(out: Tensor):
         def _backward():
             gy = out.grad
+            gy2 = gy.reshape(n, o, -1)
             if weight.requires_grad:
                 weight.accumulate_grad(
-                    np.einsum("nchwij,nohw->ocij", cols, gy, optimize=True))
+                    _weight_grad(gy2, cols).reshape(weight.shape))
             if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gy.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1))
+                bias.accumulate_grad(_bias_grad(gy))
             if x.requires_grad:
-                gcols = np.einsum("nohw,ocij->nchwij", gy, weight.data,
-                                  optimize=True)
-                gxp = np.zeros_like(xp)
-                for ki in range(kh):
-                    for kj in range(kw):
-                        gxp[:, :,
-                            ki * dh: ki * dh + sh * out_h: sh,
-                            kj * dw: kj * dw + sw * out_w: sw,
-                            ] += gcols[:, :, :, :, ki, kj]
+                gxp = _col2im(weight.data.reshape(o, -1).T @ gy2, padded_shape,
+                              kh, kw, out_h, out_w, stride, dilation)
                 x.accumulate_grad(gxp[:, :, ph: ph + h, pw: pw + w])
         return _backward
 
@@ -200,8 +223,8 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     weight: (out_c, in_c, kh, kw) where in_c matches the input channels.
     Output spatial size is (in - 1) * stride + k per axis; for the network's
-    2x2 stride-2 use this is exactly input * 2. The input gradient of this op
-    is a conv2d with the same kernel.
+    2x2 stride-2 use this is exactly input * 2. It is the adjoint of conv2d
+    with the channel axes of the same kernel swapped.
     """
     n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
@@ -210,14 +233,11 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d_transpose channel mismatch: input shape {x.shape} has {c} "
             f"channels, weight shape {weight.shape} expects {ci}"
         )
-    sh, sw = stride
-    out_h = (h - 1) * sh + kh
-    out_w = (w - 1) * sw + kw
-    y = np.zeros((n, o, out_h, out_w), dtype=x.data.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            y[:, :, ki: ki + sh * h: sh, kj: kj + sw * w: sw] += np.einsum(
-                "nchw,oc->nohw", x.data, weight.data[:, :, ki, kj], optimize=True)
+    out_shape = (n, o, (h - 1) * stride[0] + kh, (w - 1) * stride[1] + kw)
+    # the adjoint conv2d's (in_c, out_c * kh * kw) weight matrix
+    w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
+    x2 = x.data.reshape(n, c, h * w)
+    y = _col2im(w2.T @ x2, out_shape, kh, kw, h, w, stride, (1, 1))
     if bias is not None:
         y += bias.data
 
@@ -227,20 +247,15 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         def _backward():
             gy = out.grad
             if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gy.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1))
-            for ki in range(kh):
-                for kj in range(kw):
-                    gy_slice = gy[:, :, ki: ki + sh * h: sh, kj: kj + sw * w: sw]
-                    if x.requires_grad:
-                        x.accumulate_grad(np.einsum(
-                            "nohw,oc->nchw", gy_slice, weight.data[:, :, ki, kj],
-                            optimize=True))
-                    if weight.requires_grad:
-                        gw = np.einsum("nohw,nchw->oc", gy_slice, x.data,
-                                       optimize=True)
-                        full = np.zeros_like(weight.data)
-                        full[:, :, ki, kj] = gw
-                        weight.accumulate_grad(full)
+                bias.accumulate_grad(_bias_grad(gy))
+            gcols = _im2col(gy, kh, kw, h, w, stride, (1, 1))
+            if x.requires_grad:
+                w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
+                x.accumulate_grad((w2 @ gcols).reshape(x.shape))
+            if weight.requires_grad:
+                gw2 = _weight_grad(x.data.reshape(n, c, h * w), gcols)
+                weight.accumulate_grad(
+                    gw2.reshape(c, o, kh, kw).transpose(1, 0, 2, 3))
         return _backward
 
     return _node(y, prev, make_backward)
@@ -318,23 +333,6 @@ def concat_channels(*xs: Tensor) -> Tensor:
         return _backward
 
     return _node(y, tuple(xs), make_backward)
-
-
-def crop_or_pad(x: Tensor, target_h: int, target_w: int) -> Tensor:
-    """Crop from, or zero-pad at, the bottom-right to reach (target_h, target_w)."""
-    n, c, h, w = x.shape
-    ch, cw = min(h, target_h), min(w, target_w)
-    y = np.zeros((n, c, target_h, target_w), dtype=x.data.dtype)
-    y[:, :, :ch, :cw] = x.data[:, :, :ch, :cw]
-
-    def make_backward(out: Tensor):
-        def _backward():
-            g = np.zeros_like(x.data)
-            g[:, :, :ch, :cw] = out.grad[:, :, :ch, :cw]
-            x.accumulate_grad(g)
-        return _backward
-
-    return _node(y, (x,), make_backward)
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:

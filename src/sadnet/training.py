@@ -86,14 +86,18 @@ def parse_train_config(path) -> TrainConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _MODEL_KEYS:
-            conv = _MODEL_KEYS[key]
-            model_kwargs[key] = (tuple(int(v) for v in value.split(","))
-                                 if conv == "int_list" else conv(value))
-        elif key in _TRAIN_KEYS:
-            setattr(cfg, key, _TRAIN_KEYS[key](value))
-        else:
+        conv = _MODEL_KEYS.get(key) or _TRAIN_KEYS.get(key)
+        if conv is None:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            parsed = (tuple(int(v) for v in value.split(","))
+                      if conv == "int_list" else conv(value))
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
+        if key in _MODEL_KEYS:
+            model_kwargs[key] = parsed
+        else:
+            setattr(cfg, key, parsed)
     if model_kwargs:
         base = ModelConfig().to_dict()
         base.update({k: list(v) if isinstance(v, tuple) else v

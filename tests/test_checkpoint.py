@@ -107,6 +107,25 @@ class TestCorruption:
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.sadn")
 
+    def test_bad_config_or_rng_json(self, rng, tmp_path):
+        model, adam = trained_model(rng)
+        path = tmp_path / "c.sadn"
+        save_checkpoint(path, model, adam, 1, make_rng(5).bit_generator.state)
+        blob = path.read_bytes()
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        cfg = blob[12:12 + cfg_len]
+        rng_at = 12 + cfg_len + 52  # iteration, Adam fields, RNG length
+        # same-length edits keep the rest of the file readable
+        for start, bad, message in (
+                (12, b"{" * cfg_len, "JSONDecodeError"),
+                (12, cfg.replace(b'"scales": 2', b'"scales": 3'),
+                 "2 entries for 3 scales"),
+                (rng_at, b"[", "JSONDecodeError")):
+            path.write_bytes(blob[:start] + bad + blob[start + len(bad):])
+            with pytest.raises(DataError, match="bad model config or RNG "
+                                                "state: .*" + message):
+                load_checkpoint(path)
+
 
 class TestConfigMatching:
     def test_diff_names_fields(self):

@@ -61,6 +61,13 @@ class TestInspect:
         assert f1["params"] == f2["params"]
         assert int(f1["flops"]) < int(f2["flops"])
 
+    def test_non_positive_size_is_usage_error(self, capsys):
+        for flag in ("--height", "--width"):
+            code, out, err = run(capsys, "inspect", flag, "0")
+            assert code == 1
+            assert out == ""
+            assert "must be positive" in err
+
 
 class TestPipeline:
     def test_make_noisy_then_eval_then_denoise(self, capsys, tmp_path,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sadnet.data import (ImageBuffer, ManifestEntry, NoiseSpec, add_awgn,
-                         augment, extract_patches, from_tensor,
+                         augment, from_tensor,
                          generate_noisy_corpus, load_image, make_rng,
                          read_manifest, save_image, to_tensor, write_manifest)
 from sadnet.errors import DataError, UsageError
@@ -109,32 +109,6 @@ class TestAWGN:
         assert np.any(a.data != c.data)
 
 
-class TestPatches:
-    def test_degenerate_full_image_patch(self, rng):
-        x = Tensor(rng.random((1, 1, 8, 8)))
-        (p,) = extract_patches(x, 8, 1, seed=0)
-        np.testing.assert_array_equal(p.data, x.data)
-
-    def test_too_small_image_rejected(self, rng):
-        with pytest.raises(UsageError, match="smaller than patch"):
-            extract_patches(Tensor(rng.random((1, 1, 4, 4))), 8, 1, 0)
-
-    def test_crops_stay_in_bounds_and_cover_corners(self, rng):
-        h, w, size = 11, 13, 4
-        marker = np.arange(h * w, dtype=np.float64).reshape(1, 1, h, w)
-        x = Tensor(marker)
-        tops, lefts = set(), set()
-        for p in extract_patches(x, size, 10_000, seed=5):
-            top = int(p.data[0, 0, 0, 0]) // w
-            left = int(p.data[0, 0, 0, 0]) % w
-            sub = marker[:, :, top:top + size, left:left + size]
-            np.testing.assert_array_equal(p.data, sub)
-            tops.add(top)
-            lefts.add(left)
-        assert tops == set(range(h - size + 1))
-        assert lefts == set(range(w - size + 1))
-
-
 class TestAugment:
     @staticmethod
     def labeled_patch():
@@ -201,6 +175,13 @@ class TestManifest:
         path.write_text("a\tb\t25\t1\noops\n")
         with pytest.raises(DataError, match=":2:"):
             read_manifest(path)
+
+    def test_non_numeric_sigma_or_seed_reports_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        for line in ("a\tb\tlow\t1\n", "a\tb\t25\tx1\n"):
+            path.write_text("a\tb\t25\t1\n" + line)
+            with pytest.raises(DataError, match=r"bad\.tsv:2: .*'(low|x1)'"):
+                read_manifest(path)
 
     def test_corpus_generation(self, rng, tmp_path):
         in_dir = tmp_path / "clean"

@@ -67,8 +67,9 @@ class TestConv2d:
         dil = data.draw(st.integers(1, 4))
         pad = data.draw(st.integers(0, 4))
         span = dil * (k - 1) + 1
-        h = data.draw(st.integers(max(1, span - 2 * pad), 8))
-        w_dim = data.draw(st.integers(max(1, span - 2 * pad), 8))
+        lo = max(1, span - 2 * pad)  # up to 9 when k=3, dil=4, pad=0
+        h = data.draw(st.integers(lo, max(lo, 8)))
+        w_dim = data.draw(st.integers(lo, max(lo, 8)))
         x = rng.standard_normal((n, c, h, w_dim))
         w = rng.standard_normal((o, c, k, k))
         b = rng.standard_normal((1, o, 1, 1))
@@ -106,6 +107,26 @@ class TestConvTranspose:
         b = rng.standard_normal((1, 4, 1, 1))
         y = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b), (2, 2))
         ref = conv2d_transpose_reference(x, w, b, (2, 2))
+        np.testing.assert_allclose(y.data, ref, rtol=1e-6, atol=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_property_matches_reference(self, data):
+        # k > stride overlaps neighbouring taps in the output
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(1, 2))
+        c = data.draw(st.integers(1, 3))
+        o = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 3))
+        stride = data.draw(st.integers(1, 3))
+        h = data.draw(st.integers(1, 5))
+        w_dim = data.draw(st.integers(1, 5))
+        x = rng.standard_normal((n, c, h, w_dim))
+        w = rng.standard_normal((o, c, k, k))
+        b = rng.standard_normal((1, o, 1, 1))
+        y = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b),
+                               (stride, stride))
+        ref = conv2d_transpose_reference(x, w, b, (stride, stride))
         np.testing.assert_allclose(y.data, ref, rtol=1e-6, atol=1e-9)
 
     def test_channel_mismatch(self, rng):
@@ -155,15 +176,6 @@ class TestPointwise:
             T.add(a, b)
         with pytest.raises(ConfigurationError):
             T.mul(a, b)
-
-    def test_crop_or_pad(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
-        cropped = T.crop_or_pad(x, 3, 4)
-        np.testing.assert_array_equal(cropped.data, x.data[:, :, :3, :4])
-        padded = T.crop_or_pad(x, 7, 6)
-        assert padded.shape == (1, 2, 7, 6)
-        np.testing.assert_array_equal(padded.data[:, :, :5, :5], x.data)
-        assert np.all(padded.data[:, :, 5:, :] == 0)
 
 
 class TestLoss:

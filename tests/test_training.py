@@ -78,6 +78,13 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="unknown config key 'momentum'"):
             parse_train_config(path)
 
+    def test_bad_value_names_line_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("lr = 0.001\nbatch_size = four\n")
+        with pytest.raises(UsageError,
+                           match=r"bad\.cfg:2: batch_size: .*'four'"):
+            parse_train_config(path)
+
     def test_patch_divisibility_enforced(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("patch_size = 100\n")
@@ -166,6 +173,13 @@ class TestTrainingLoop:
         manifest = tmp_path / "train.tsv"
         manifest.write_text("/nonexistent/a.pgm\t/nonexistent/a_n.pgm\t25\t0\n")
         with pytest.raises(DataError, match="/nonexistent/a.pgm"):
+            train(cfg)
+
+    def test_image_smaller_than_patch_rejected(self, rng, tmp_path):
+        cfg = tiny_train_config(tmp_path, rng, patch_size=64)
+        with pytest.raises(DataError,
+                           match=r"img0\.pgm: image 32x32 smaller than patch "
+                                 r"size 64"):
             train(cfg)
 
 
