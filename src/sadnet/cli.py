@@ -11,12 +11,12 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .data import generate_noisy_corpus, load_image, to_tensor, write_manifest
 from .errors import ConfigurationError, DataError, NumericError, UsageError
 from .gradcheck import run_suite
 from .model import count_params_flops, export_offsets
-from .training import (denoise_image, evaluate, parse_train_config, train)
+from .training import (denoise_image, evaluate, load_inference_model,
+                       parse_train_config, train)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,10 +126,10 @@ def _cmd_make_noisy(args) -> int:
 
 
 def _cmd_export_offsets(args) -> int:
-    ck = load_checkpoint(args.ckpt)
+    model = load_inference_model(args.ckpt)
     buf = load_image(args.input)
-    x = to_tensor(buf, dtype=ck.model.tail.weight.data.dtype)
-    rows = export_offsets(ck.model, x, args.output, args.points)
+    x = to_tensor(buf, dtype=model.tail.weight.data.dtype)
+    rows = export_offsets(model, x, args.output, args.points)
     print(f"wrote {rows} rows to {args.output}")
     return 0
 

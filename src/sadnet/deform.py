@@ -3,14 +3,19 @@
 The layer samples the input at learned fractional positions (one 2-vector
 offset per kernel tap per output pixel), scales each sampled value by a
 learned modulation scalar in [0, 1], then applies the standard kernel
-weights. Sampling outside the image contributes 0 (zero-padding rule), and
-coordinates are never clipped.
+weights. Sampling outside the image contributes 0 (zero-padding rule);
+sampling points are never moved into the image.
 
 This is the column form of DCNv2 (Zhu et al. 2019, arXiv:1811.11168): per
 kernel tap, one gather fetches the four bilinear corners of every sampling
 point, and their blend times the modulation fills that tap's rows of a
 ``tensor._im2col``-layout column buffer; one GEMM gives the output. Backward
-keeps the columns and corners and recomputes coordinates and samples per tap.
+keeps the columns; regathers corners and recomputes coordinates per tap.
+
+Sampling coordinates are clamped to [-2, h] (rows) and [-2, w] (columns)
+before ``floor()``. Beyond those bounds all four corners already lie outside
+the image, with weight 0 and derivative 0, so no finite result changes; NaN,
+inf and huge offsets sample zeros instead of casting an undefined value.
 
 Gradient convention at exact integer coordinates: the surrounding-4-pixel
 bilinear formula with floor() anchoring, i.e. the one-sided derivative from
@@ -69,6 +74,9 @@ def _tap_corners(offsets: np.ndarray, k: int, kw: int, padding, h: int, w: int,
           + offsets[:, 2 * k]).reshape(n, 1, -1)
     px = (np.arange(ow, dtype=dtype) - padding[1] + kj
           + offsets[:, 2 * k + 1]).reshape(n, 1, -1)
+    # fmax sends NaN to the lower bound; floor() then casts to int64 safely
+    py = np.fmin(np.fmax(py, -2), h)
+    px = np.fmin(np.fmax(px, -2), w)
     y0, x0 = np.floor(py), np.floor(px)
     fy, fx = py - y0, px - x0
     iy = y0.astype(np.int64) + _NEXT_Y
@@ -83,10 +91,18 @@ def _tap_corners(offsets: np.ndarray, k: int, kw: int, padding, h: int, w: int,
 
 
 def _gather(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Pixels (n, c, 4, L) of flat (n, c, h*w) at the corner indices idx."""
+    """Pixels (n, c, 4, L) of flat (n, c, h*w) at the corner indices idx.
+
+    One ``np.take`` per image with its 1-D index: several times faster than
+    a broadcast fancy index. ``idx`` is already clipped into the image, so
+    mode="clip" changes nothing and lets ``take`` write ``out`` unbuffered.
+    """
     n, c = flat.shape[:2]
-    full = np.broadcast_to(idx.reshape(n, 1, -1), (n, c, idx[0].size))
-    return np.take_along_axis(flat, full, axis=2).reshape(n, c, *idx.shape[1:])
+    out = np.empty((n, c, *idx.shape[1:]), dtype=flat.dtype)
+    for i in range(n):
+        np.take(flat[i], idx[i].reshape(-1), axis=1,
+                out=out[i].reshape(c, -1), mode="clip")
+    return out
 
 
 def _blend(coef: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -125,14 +141,11 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     size = out_h * out_w
     flat = x.data.reshape(n, c, h * w)
     mod = masks.data.reshape(n, k_taps, 1, size)
-    # deformable columns in tensor._im2col's layout; corners kept for backward
+    # deformable columns in tensor._im2col's layout
     cols = np.empty((n, c, k_taps, size), dtype=dtype)
-    corners = []
     for k in range(k_taps):
         idx, wts, _, _ = _tap_corners(offsets.data, k, kw, padding, h, w, dtype)
-        v = _gather(flat, idx)
-        cols[:, :, k] = _blend(wts, v) * mod[:, k]
-        corners.append(v)
+        cols[:, :, k] = _blend(wts, _gather(flat, idx)) * mod[:, k]
     cols = cols.reshape(n, c * k_taps, size)
     y = (weight.data.reshape(o, -1) @ cols).reshape(n, o, out_h, out_w)
     if bias is not None:
@@ -160,7 +173,7 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             for k in range(k_taps):
                 idx, wts, wts_dy, wts_dx = _tap_corners(
                     offsets.data, k, kw, padding, h, w, dtype)
-                v = corners[k]
+                v = _gather(flat, idx)
                 g_mask[:, k] = (gcols[:, :, k] * _blend(wts, v)).sum(axis=1)
                 g_s = gcols[:, :, k] * mod[:, k]
                 g_off[:, 2 * k] = (g_s * _blend(wts_dy, v)).sum(axis=1)

@@ -34,16 +34,16 @@ class CheckResult:
         return f"{status}  {self.name:<40s}  worst_rel_err={self.worst_rel_err:.3e}"
 
 
-def _clear_all_grads(root: Tensor) -> None:
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        node.grad = None
-        stack.extend(node._prev)
+def _graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from root; call before backward() consumes it."""
+    seen = {id(root)}
+    nodes = [root]
+    for node in nodes:
+        for p in node._prev:
+            if id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+    return nodes
 
 
 def finite_diff_check(name: str, build, tensors: list[Tensor],
@@ -51,10 +51,11 @@ def finite_diff_check(name: str, build, tensors: list[Tensor],
                       h: float = H_STEP) -> CheckResult:
     """Check d(build())/d(tensor) for a sample of elements of each tensor."""
     out = build()
+    nodes = _graph_nodes(out)
     out.backward()
     grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
              for t in tensors]
-    _clear_all_grads(out)
+    T.zero_grads(nodes)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t, g in zip(tensors, grads):
@@ -205,7 +206,7 @@ def run_model_suite(max_elements: int = 3) -> list[CheckResult]:
     target = Tensor(rng.standard_normal((1, 1, 8, 8)))
     model(x)
     for state in model.scale_states:
-        frac = state.offsets.data - np.floor(state.offsets.data)
+        frac = state.offsets - np.floor(state.offsets)
         assert min(frac.min(), 1.0 - frac.max()) > 0.1, \
             "gradcheck fixture drifted onto a bilinear kink"
 

@@ -96,11 +96,15 @@ PRESETS = {
 
 @dataclass
 class ScaleState:
-    """Per-scale decoder state captured during a forward pass."""
+    """Per-scale decoder state captured during a forward pass.
+
+    Plain arrays, not graph tensors, so the model keeps no graph alive
+    between forward passes.
+    """
     scale: int
-    features: Tensor
-    offsets: Tensor
-    masks: Tensor
+    features: np.ndarray
+    offsets: np.ndarray
+    masks: np.ndarray
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype):
@@ -376,7 +380,8 @@ class SADNet:
             offsets, masks = self.offset[s](d, prev)
             for block in self.rsabs[s]:
                 d = block(d, offsets, masks)
-            self.scale_states.append(ScaleState(s, d, offsets, masks))
+            self.scale_states.append(
+                ScaleState(s, d.data, offsets.data, masks.data))
             prev = (offsets, masks)
             if s > 0:
                 d = self.up[s - 1](d)
@@ -482,8 +487,8 @@ def export_offsets(model: SADNet, x: Tensor, out_path, points_per_axis: int = 4)
     pad = k // 2
     rows = []
     for state in sorted(model.scale_states, key=lambda s: s.scale):
-        off = state.offsets.data[0]
-        mask = state.masks.data[0]
+        off = state.offsets[0]
+        mask = state.masks[0]
         _, oh, ow = mask.shape
         ys = np.linspace(0, oh - 1, points_per_axis).round().astype(int)
         xs = np.linspace(0, ow - 1, points_per_axis).round().astype(int)

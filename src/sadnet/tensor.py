@@ -1,9 +1,16 @@
 """Minimal dense 4-D tensor with reverse-mode automatic differentiation.
 
 Every value is a (batch, channel, height, width) array. Operations build a
-graph of backward closures; ``Tensor.backward()`` on a scalar output walks
-the graph in reverse topological order and accumulates gradients into the
-``grad`` field of every reachable tensor with ``requires_grad=True``.
+graph of backward closures only when an input requires gradients;
+``Tensor.backward()`` on a scalar output walks the graph in reverse
+topological order and accumulates gradients into the ``grad`` field of every
+reachable leaf with ``requires_grad=True``.
+
+``backward()`` consumes the graph: once a node's closure has run, the node
+drops its closure, its inputs and its gradient, so each op's saved state is
+freed during the sweep instead of waiting for the cyclic collector. Leaves
+(parameters, inputs) keep their ``grad``. A second ``backward()`` on the same
+graph is unsupported; build the graph again instead.
 
 Convolutions share one column-GEMM core: ``_im2col`` lays a padded input
 out as (n, c*kh*kw, oh*ow) columns, ``_col2im`` is its adjoint, and every
@@ -67,7 +74,7 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output; consumes the graph."""
         if self.data.size != 1:
             raise UsageError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
@@ -88,9 +95,15 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            # popping lets a spent node's activation go with its last consumer
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                # break the out -> closure -> out cycle and free saved state
+                node._backward = None
+                node._prev = ()
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

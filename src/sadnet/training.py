@@ -162,6 +162,13 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
     def save(path: str, iteration: int) -> None:
         save_checkpoint(path, model, adam, iteration, rng.bit_generator.state)
 
+    def abort(what: str, iteration: int) -> None:
+        """Save the weights as they are (before any update) and stop."""
+        diag = os.path.join(config.checkpoint_dir, "ckpt_nonfinite.sadn")
+        save(diag, iteration)
+        raise NumericError(f"{what} at iteration {iteration}; "
+                           f"diagnostic checkpoint written to {diag}")
+
     final_path = os.path.join(config.checkpoint_dir, "ckpt_final.sadn")
     for it in range(start, config.max_iters):
         lr = lr_schedule(it, config)
@@ -184,12 +191,12 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
         loss = T.loss(config.loss_kind, pred, target)
         loss_value = loss.item()
         if not math.isfinite(loss_value):
-            diag = os.path.join(config.checkpoint_dir, "ckpt_nonfinite.sadn")
-            save(diag, it)
-            raise NumericError(
-                f"non-finite loss {loss_value} at iteration {it}; "
-                f"diagnostic checkpoint written to {diag}")
+            abort(f"non-finite loss {loss_value}", it)
         loss.backward()
+        # a finite loss can still back-propagate NaN/inf; stop it before Adam
+        for name, p in params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                abort(f"non-finite gradient in {name}", it)
         adam_step(params, adam, lr=lr)
         T.zero_grads(p for _, p in params)
         done = it + 1
@@ -222,31 +229,39 @@ def denoise_tensor(model: SADNet, x: Tensor) -> Tensor:
     return Tensor(out.data[:, :, :h, :w])
 
 
+def load_inference_model(checkpoint_path) -> SADNet:
+    """A checkpoint's model with gradients off: its forwards build no graph."""
+    model = load_checkpoint(checkpoint_path).model
+    for _, p in model.params():
+        p.requires_grad = False
+    return model
+
+
 def denoise_image(checkpoint_path, input_path, output_path) -> None:
-    ck = load_checkpoint(checkpoint_path)
+    model = load_inference_model(checkpoint_path)
     buf = load_image(input_path)
-    if buf.channels != ck.config.in_channels:
+    if buf.channels != model.config.in_channels:
         raise DataError(
             f"{input_path} has {buf.channels} channels, checkpoint model "
-            f"expects {ck.config.in_channels}")
-    x = to_tensor(buf, dtype=ck.model.tail.weight.data.dtype)
-    y = denoise_tensor(ck.model, x)
+            f"expects {model.config.in_channels}")
+    x = to_tensor(buf, dtype=model.tail.weight.data.dtype)
+    y = denoise_tensor(model, x)
     save_image(from_tensor(y), output_path)
 
 
 def evaluate(checkpoint_path, manifest_path) -> MetricReport:
-    ck = load_checkpoint(checkpoint_path)
+    model = load_inference_model(checkpoint_path)
     entries = read_manifest(manifest_path)
     missing = [p for e in entries for p in (e.clean_path, e.noisy_path)
                if not os.path.exists(p)]
     if missing:
         raise DataError("missing files: " + ", ".join(missing))
     report = MetricReport()
-    dtype = ck.model.tail.weight.data.dtype
+    dtype = model.tail.weight.data.dtype
     for e in entries:
         clean = load_image(e.clean_path)
         noisy = load_image(e.noisy_path)
-        denoised = from_tensor(denoise_tensor(ck.model, to_tensor(noisy, dtype)))
+        denoised = from_tensor(denoise_tensor(model, to_tensor(noisy, dtype)))
         report.add(os.path.basename(e.noisy_path), psnr(denoised, clean),
                    ssim(denoised, clean))
     return report

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,24 @@ class TestModulatedDeformConv:
         with pytest.raises(ConfigurationError, match="modulation field"):
             modulated_deform_conv2d(x, w, None, zero_offsets(1, 9, 4, 4),
                                     unit_masks(1, 4, 4, 4), (1, 1))
+
+    def test_non_finite_offsets_sample_zeros(self, rng):
+        # every sampling point is NaN, +-inf or +-1e30 away: all four corners
+        # lie outside the image, so the output is the bias and no cast warns
+        x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 4, 1, 1)), requires_grad=True)
+        bad = np.array([np.nan, np.inf, -np.inf, 1e30, -1e30])
+        off = Tensor(rng.choice(bad, (2, 18, 5, 5)), requires_grad=True)
+        masks = Tensor(rng.uniform(0.2, 0.8, (2, 9, 5, 5)), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = modulated_deform_conv2d(x, w, b, off, masks, (1, 1))
+            T.tensor_sum(y).backward()
+        np.testing.assert_array_equal(y.data, np.broadcast_to(b.data, y.shape))
+        for t in (x, off, masks):
+            np.testing.assert_array_equal(t.grad, 0.0)
+        assert np.isfinite(w.grad).all()
 
     def test_gradcheck_all_five_groups(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)

@@ -222,6 +222,19 @@ class TestBackward:
         with pytest.raises(UsageError):
             T.leaky_relu(x).backward()
 
+    def test_backward_consumes_the_graph(self, rng):
+        # spent nodes drop closure, inputs and grad; leaves keep their grad
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        y = T.conv2d(x, w, padding=(1, 1))
+        out = T.tensor_sum(T.leaky_relu(y))
+        out.backward()
+        for node in (y, out):
+            assert node._backward is None
+            assert node._prev == ()
+            assert node.grad is None
+        assert x.grad is not None and w.grad is not None
+
     def test_detached_absent_from_gradients(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
         frozen = Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=False)

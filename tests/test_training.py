@@ -1,32 +1,37 @@
+import gc
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sadnet.checkpoint import load_checkpoint
 from sadnet.data import (ImageBuffer, ManifestEntry, NoiseSpec, add_awgn,
-                         from_tensor, save_image, to_tensor, write_manifest)
+                         from_tensor, load_image, save_image, to_tensor,
+                         write_manifest)
 from sadnet.errors import DataError, NumericError, UsageError
 from sadnet.gradcheck import finite_diff_check
 from sadnet.model import ModelConfig, SADNet
 from sadnet.tensor import Tensor
 from sadnet import tensor as T
+from sadnet.metrics import psnr, ssim
 from sadnet.training import (TrainConfig, denoise_image, denoise_tensor,
-                             evaluate, lr_schedule, parse_train_config, train)
+                             evaluate, load_inference_model, lr_schedule,
+                             parse_train_config, train)
 
 from conftest import synth_buffer
 from test_model import micro_config
 
 
-def tiny_train_config(tmp_path, rng, n_images=4, **kw):
+def tiny_train_config(tmp_path, rng, n_images=4, image_size=32, **kw):
     """A runnable config over a small synthetic corpus."""
     clean_dir = tmp_path / "clean"
     clean_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(n_images):
         clean = clean_dir / f"img{i}.pgm"
-        save_image(synth_buffer(rng, 32), clean)
+        save_image(synth_buffer(rng, image_size), clean)
         entries.append(ManifestEntry(str(clean), str(clean), 25.0, i))
     manifest = tmp_path / "train.tsv"
     write_manifest(entries, manifest)
@@ -168,6 +173,43 @@ class TestTrainingLoop:
         assert diag.exists()
         assert load_checkpoint(diag).iteration == 0
 
+    def test_nonfinite_gradient_aborts_before_update(self, rng, tmp_path,
+                                                     monkeypatch):
+        cfg = tiny_train_config(tmp_path, rng, max_iters=3,
+                                checkpoint_interval=1)
+        import sadnet.training as training_mod
+        models = []
+        orig_model = training_mod.SADNet
+
+        def recorded(config, rng, dtype):
+            models.append(orig_model(config, rng=rng, dtype=dtype))
+            return models[-1]
+
+        orig_backward = Tensor.backward
+        calls = []
+
+        def poisoned_backward(loss):
+            # the loss is finite; one gradient element of step 1 turns NaN
+            orig_backward(loss)
+            calls.append(loss.item())
+            if len(calls) == 2:
+                models[0].head.weight.grad[0, 0, 0, 0] = np.nan
+
+        monkeypatch.setattr(training_mod, "SADNet", recorded)
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        with pytest.raises(NumericError,
+                           match="non-finite gradient in head.weight at "
+                                 "iteration 1"):
+            train(cfg)
+        assert all(math.isfinite(v) for v in calls)
+        diag = load_checkpoint(tmp_path / "ckpt" / "ckpt_nonfinite.sadn")
+        before = load_checkpoint(tmp_path / "ckpt" / "ckpt_00000001.sadn")
+        assert diag.iteration == 1
+        for (n1, p1), (n2, p2) in zip(diag.model.params(),
+                                      before.model.params()):
+            assert n1 == n2
+            np.testing.assert_array_equal(p1.data, p2.data)
+
     def test_missing_images_listed(self, rng, tmp_path):
         cfg = tiny_train_config(tmp_path, rng)
         manifest = tmp_path / "train.tsv"
@@ -183,7 +225,83 @@ class TestTrainingLoop:
             train(cfg)
 
 
+class TestStepMemory:
+    def test_memory_per_step_is_bounded(self, rng, tmp_path):
+        """Each step frees its graph by reference counting alone.
+
+        With the cyclic collector off, a graph kept alive by a reference
+        cycle or by the model would add a whole step's saved state to the
+        traced memory after every step. Step 1 also allocates Adam's moments,
+        so later steps are compared with the level step 1 leaves behind.
+        """
+        # the smoke config: 1 channel, 8/16/32/64, batch 4, patch 64
+        cfg = tiny_train_config(
+            tmp_path, rng, image_size=64,
+            model=ModelConfig(in_channels=1, channels_per_scale=(8, 16, 32, 64)),
+            batch_size=4, patch_size=64, max_iters=3, log_interval=1,
+            checkpoint_interval=0)
+        steps = []
+
+        class Probe:
+            def write(self, text):
+                steps.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+
+            def flush(self):
+                pass
+
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            train(cfg, log_stream=Probe())
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert len(steps) == 3
+        (level, peak), later = steps[0], steps[1:]
+        for current, step_peak in later:
+            assert abs(step_peak - peak) <= 0.05 * peak
+            assert abs(current - level) <= 0.01 * peak
+
+
 class TestInference:
+    def test_inference_builds_no_graph_and_matches(self, rng, tmp_path):
+        model = SADNet(micro_config(), rng=np.random.default_rng(3),
+                       dtype=np.float32)
+        # a non-identity model, so the denoised pixels depend on the weights
+        model.tail.weight.data[:] = np.random.default_rng(4).standard_normal(
+            model.tail.weight.shape) * 0.1
+        from sadnet.checkpoint import save_checkpoint
+        from sadnet.optim import AdamState
+        ck = tmp_path / "m.sadn"
+        save_checkpoint(ck, model, AdamState(), 0)
+        clean = synth_buffer(rng, 32)
+        noisy = from_tensor(add_awgn(to_tensor(clean, np.float64),
+                                     NoiseSpec(25.0, 0)))
+        cp, np_ = tmp_path / "c.pgm", tmp_path / "n.pgm"
+        save_image(clean, cp)
+        save_image(noisy, np_)
+        manifest = tmp_path / "eval.tsv"
+        write_manifest([ManifestEntry(str(cp), str(np_), 25.0, 0)], manifest)
+
+        frozen = load_inference_model(ck)
+        assert not any(p.requires_grad for _, p in frozen.params())
+        x = to_tensor(noisy, np.float32)
+        assert frozen(x)._backward is None
+        # the same weights with gradients on give the same bits
+        live = load_checkpoint(ck).model
+        assert all(p.requires_grad for _, p in live.params())
+        out = denoise_tensor(live, x)
+        np.testing.assert_array_equal(denoise_tensor(frozen, x).data, out.data)
+        expected = from_tensor(out)
+        report = evaluate(ck, manifest)
+        assert report.psnr_values == [psnr(expected, clean)]
+        assert report.ssim_values == [ssim(expected, clean)]
+        denoise_image(ck, np_, tmp_path / "d.pgm")
+        np.testing.assert_array_equal(
+            load_image(tmp_path / "d.pgm").samples, expected.samples)
+
     def test_arbitrary_size_pad_and_crop(self, rng):
         model = SADNet(micro_config(), rng=np.random.default_rng(0),
                        dtype=np.float64)
