@@ -157,6 +157,8 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("utf-8")
+        if name in tensors:
+            raise DataError(f"{path}: duplicate tensor {name} in checkpoint")
         (ndim,) = r.unpack("<B")
         shape = tuple(r.unpack(f"<{ndim}I")) if ndim else ()
         (code,) = r.unpack("<B")
@@ -167,6 +169,9 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
         tensors[name] = arr
         order.append(name)
+    if r.pos != len(blob):
+        raise DataError(f"{path}: {len(blob) - r.pos} trailing bytes after "
+                        f"the last tensor record at byte offset {r.pos}")
 
     dtype = tensors[order[0]].dtype if order else np.float32
     model = SADNet(config, rng=np.random.default_rng(0), dtype=dtype)

@@ -11,6 +11,12 @@ kernel tap, one gather fetches the four bilinear corners of every sampling
 point, and their blend times the modulation fills that tap's rows of a
 ``tensor._im2col``-layout column buffer; one GEMM gives the output. Backward
 keeps the columns; regathers corners and recomputes coordinates per tap.
+Per tap, one channel contraction of the column gradient with the regathered
+corners gives the mask and offset gradients (the modulation does not depend
+on the channel, so it factors out of that sum). The input gradient is
+scatter-added after the tap loop, one ``np.bincount`` per image and channel
+over all taps and corners into h*w bins. Backward computes in the layer's
+dtype whatever the dtype of the incoming gradient.
 
 Sampling coordinates are clamped to [-2, h] (rows) and [-2, w] (columns)
 before ``floor()``. Beyond those bounds all four corners already lie outside
@@ -21,9 +27,9 @@ Gradient convention at exact integer coordinates: the surrounding-4-pixel
 bilinear formula with floor() anchoring, i.e. the one-sided derivative from
 the upper cell. Gradient checks must perturb offsets away from integers.
 
-Determinism: taps run in row-major order and the input gradient is
-scatter-added with ``np.bincount``, so identical inputs give bit-identical
-results.
+Determinism: taps run in row-major order and each ``np.bincount`` adds its
+weights in a fixed order, in float64, before one cast to the input dtype, so
+identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -157,32 +163,43 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def make_backward(out: Tensor):
         def _backward():
-            gy = out.grad.reshape(n, o, size)
+            # an upstream float64 gradient would make every product below a
+            # mixed-dtype one that numpy runs by upcasting the columns
+            grad = out.grad.astype(dtype, copy=False)
+            gy = grad.reshape(n, o, size)
             if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(_bias_grad(out.grad))
+                bias.accumulate_grad(_bias_grad(grad))
             if weight.requires_grad:
                 weight.accumulate_grad(
                     _weight_grad(gy, cols).reshape(weight.shape))
             gcols = (weight.data.reshape(o, -1).T @ gy).reshape(
                 n, c, k_taps, size)
-            mod = masks.data.reshape(n, k_taps, 1, size)
-            g_off = np.zeros((n, 2 * k_taps, size), dtype=offsets.dtype)
-            g_mask = np.zeros((n, k_taps, size), dtype=masks.dtype)
-            gx = np.zeros(n * c * h * w, dtype=dtype)
-            base = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+            mod = masks.data.reshape(n, k_taps, size)
+            g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
+            g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
+            idx_all = np.empty((n, k_taps, 4, size), dtype=np.int64)
+            wts_all = np.empty((n, k_taps, 4, size), dtype=dtype)
             for k in range(k_taps):
                 idx, wts, wts_dy, wts_dx = _tap_corners(
                     offsets.data, k, kw, padding, h, w, dtype)
-                v = _gather(flat, idx)
-                g_mask[:, k] = (gcols[:, :, k] * _blend(wts, v)).sum(axis=1)
-                g_s = gcols[:, :, k] * mod[:, k]
-                g_off[:, 2 * k] = (g_s * _blend(wts_dy, v)).sum(axis=1)
-                g_off[:, 2 * k + 1] = (g_s * _blend(wts_dx, v)).sum(axis=1)
-                # bincount keeps the scatter-add deterministic and fast
-                gx += np.bincount(
-                    (base + idx[:, None]).ravel(),
-                    weights=(g_s[:, :, None] * wts[:, None]).ravel(),
-                    minlength=gx.size).astype(dtype, copy=False)
+                idx_all[:, k], wts_all[:, k] = idx, wts
+                # per-corner channel sum of column gradient times sample;
+                # the modulation is channel-independent, so it factors out
+                p = np.einsum("ncjl,ncl->njl", _gather(flat, idx),
+                              gcols[:, :, k])
+                g_mask[:, k] = (wts * p).sum(axis=1)
+                g_off[:, 2 * k] = mod[:, k] * (wts_dy * p).sum(axis=1)
+                g_off[:, 2 * k + 1] = mod[:, k] * (wts_dx * p).sum(axis=1)
+            gcols *= mod[:, None]
+            # one bincount per image and channel over all taps: h*w float64
+            # bins stay in cache, and the scatter-add stays deterministic
+            gx = np.empty((n, c, h * w), dtype=dtype)
+            for i in range(n):
+                for ch in range(c):
+                    gx[i, ch] = np.bincount(
+                        idx_all[i].ravel(),
+                        weights=(gcols[i, ch][:, None] * wts_all[i]).ravel(),
+                        minlength=h * w)
             masks.accumulate_grad(g_mask.reshape(masks.shape))
             offsets.accumulate_grad(g_off.reshape(offsets.shape))
             x.accumulate_grad(gx.reshape(x.shape))

@@ -52,33 +52,43 @@ def finite_diff_check(name: str, build, tensors: list[Tensor],
     """Check d(build())/d(tensor) for a sample of elements of each tensor."""
     out = build()
     nodes = _graph_nodes(out)
+    leaves = [t for t in nodes if t.requires_grad and not t._prev]
     out.backward()
     grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
              for t in tensors]
     T.zero_grads(nodes)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t, g in zip(tensors, grads):
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        n = flat.size
-        if n <= max_elements:
-            idxs = range(n)
-        else:
-            idxs = sorted(rng.choice(n, size=max_elements, replace=False).tolist())
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = build().item()
-            flat[i] = orig - h
-            fm = build().item()
-            flat[i] = orig
-            fd = (fp - fm) / (2.0 * h)
-            err = abs(gflat[i] - fd)
-            if err <= ABS_FLOOR:
-                continue
-            rel = err / max(abs(gflat[i]), abs(fd), ABS_FLOOR)
-            worst = max(worst, rel)
+    # the perturbed builds need values only: with no leaf requiring
+    # gradients they build no backward closures
+    for t in leaves:
+        t.requires_grad = False
+    try:
+        for t, g in zip(tensors, grads):
+            flat = t.data.reshape(-1)
+            gflat = g.reshape(-1)
+            n = flat.size
+            if n <= max_elements:
+                idxs = range(n)
+            else:
+                idxs = sorted(
+                    rng.choice(n, size=max_elements, replace=False).tolist())
+            for i in idxs:
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = build().item()
+                flat[i] = orig - h
+                fm = build().item()
+                flat[i] = orig
+                fd = (fp - fm) / (2.0 * h)
+                err = abs(gflat[i] - fd)
+                if err <= ABS_FLOOR:
+                    continue
+                rel = err / max(abs(gflat[i]), abs(fd), ABS_FLOOR)
+                worst = max(worst, rel)
+    finally:
+        for t in leaves:
+            t.requires_grad = True
     return CheckResult(name, worst, worst < REL_TOL)
 
 

@@ -82,6 +82,61 @@ def deform_conv_reference(x, w, b, offsets, masks, padding=(1, 1)):
     return y
 
 
+def deform_conv_vjp_reference(x, w, offsets, masks, gy, padding=(1, 1)):
+    """Gradients of sum(gy * deform_conv(x, w, b, offsets, masks)).
+
+    Scalar loops over the bilinear formula: the sample at (sy, sx) is
+    sum over the 4 corners (iy, ix) inside the image of wy * wx * x[iy, ix],
+    with wy = 1 - fy for row floor(sy) and fy for the row below (same for
+    columns), so d(sample)/d(sy) flips the sign of wy's contribution.
+    Returns (gx, gw, gb, g_offsets, g_masks) in float64.
+    """
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ph, pw = padding
+    _, _, out_h, out_w = gy.shape
+    gx = np.zeros(x.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    gb = gy.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1).astype(np.float64)
+    g_off = np.zeros(offsets.shape, dtype=np.float64)
+    g_mask = np.zeros(masks.shape, dtype=np.float64)
+    for ni in range(n):
+        for oy in range(out_h):
+            for ox in range(out_w):
+                for k in range(kh * kw):
+                    ki, kj = divmod(k, kw)
+                    sy = oy - ph + ki + float(offsets[ni, 2 * k, oy, ox])
+                    sx = ox - pw + kj + float(offsets[ni, 2 * k + 1, oy, ox])
+                    m = float(masks[ni, k, oy, ox])
+                    y0 = int(np.floor(sy))
+                    x0 = int(np.floor(sx))
+                    fy, fx = sy - y0, sx - x0
+                    corners = []
+                    for iy, wy, dwy in ((y0, 1.0 - fy, -1.0), (y0 + 1, fy, 1.0)):
+                        for ix, wx, dwx in ((x0, 1.0 - fx, -1.0),
+                                            (x0 + 1, fx, 1.0)):
+                            if 0 <= iy < h and 0 <= ix < wd:
+                                corners.append((iy, ix, wy, wx, dwy, dwx))
+                    for ci in range(c):
+                        # column gradient: d(loss)/d(m * sample)
+                        gs = 0.0
+                        for oi in range(o):
+                            gs += gy[ni, oi, oy, ox] * w[oi, ci, ki, kj]
+                        val = dval_y = dval_x = 0.0
+                        for iy, ix, wy, wx, dwy, dwx in corners:
+                            px = float(x[ni, ci, iy, ix])
+                            val += wy * wx * px
+                            dval_y += dwy * wx * px
+                            dval_x += wy * dwx * px
+                            gx[ni, ci, iy, ix] += gs * m * wy * wx
+                        for oi in range(o):
+                            gw[oi, ci, ki, kj] += gy[ni, oi, oy, ox] * m * val
+                        g_mask[ni, k, oy, ox] += gs * val
+                        g_off[ni, 2 * k, oy, ox] += gs * m * dval_y
+                        g_off[ni, 2 * k + 1, oy, ox] += gs * m * dval_x
+    return gx, gw, gb, g_off, g_mask
+
+
 def ssim_reference(a, b, window, c1, c2):
     """Naive sliding-window SSIM over valid positions, one channel."""
     size = window.shape[0]

@@ -1,8 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from sadnet import tensor as T
-from sadnet.checkpoint import (diff_configs, load_checkpoint,
+from sadnet.checkpoint import (_write_tensor, diff_configs, load_checkpoint,
                                require_config_match, save_checkpoint)
 from sadnet.data import make_rng
 from sadnet.errors import DataError
@@ -126,6 +128,32 @@ class TestCorruption:
                                                 "state: .*" + message):
                 load_checkpoint(path)
 
+
+    def test_trailing_bytes_report_offset(self, rng, tmp_path):
+        model, adam = trained_model(rng)
+        path = tmp_path / "t.sadn"
+        save_checkpoint(path, model, adam, 1)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"junk!!!")
+        with pytest.raises(DataError, match=f"7 trailing bytes .* byte offset "
+                                            f"{size}"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_name(self, rng, tmp_path):
+        model, adam = trained_model(rng)
+        path = tmp_path / "d.sadn"
+        save_checkpoint(path, model, adam, 1)
+        blob = path.read_bytes()
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        count_at = 12 + cfg_len + 52  # iteration, Adam fields, RNG length 0
+        count = int.from_bytes(blob[count_at:count_at + 4], "little")
+        name, p = model.params()[-1]
+        extra = io.BytesIO()
+        _write_tensor(extra, name, p.data)
+        path.write_bytes(blob[:count_at] + (count + 1).to_bytes(4, "little")
+                         + blob[count_at + 4:] + extra.getvalue())
+        with pytest.raises(DataError, match=f"duplicate tensor {name}"):
+            load_checkpoint(path)
 
 class TestConfigMatching:
     def test_diff_names_fields(self):

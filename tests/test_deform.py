@@ -9,7 +9,7 @@ from sadnet.errors import ConfigurationError
 from sadnet.gradcheck import finite_diff_check
 from sadnet.tensor import Tensor
 
-from oracles import deform_conv_reference
+from oracles import deform_conv_reference, deform_conv_vjp_reference
 
 
 def zero_offsets(n, k_taps, oh, ow):
@@ -134,6 +134,44 @@ class TestModulatedDeformConv:
         for t in (x, off, masks):
             np.testing.assert_array_equal(t.grad, 0.0)
         assert np.isfinite(w.grad).all()
+
+    def test_backward_matches_reference_everywhere(self, rng):
+        # every element of all five gradients, not a finite-difference sample:
+        # integer parts in -2..1 and fractional parts 0.1..0.9 keep samples off
+        # the bilinear kink while some leave the 5x5 image and several taps
+        # land on the same pixels
+        x = rng.standard_normal((2, 3, 5, 5))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal((1, 4, 1, 1))
+        off = (rng.integers(-2, 2, (2, 18, 5, 5))
+               + rng.uniform(0.1, 0.9, (2, 18, 5, 5)))
+        masks = rng.uniform(0.0, 1.0, (2, 9, 5, 5))
+        gy = rng.standard_normal((2, 4, 5, 5))
+        tensors = [Tensor(a.copy(), requires_grad=True)
+                   for a in (x, w, b, off, masks)]
+        y = modulated_deform_conv2d(*tensors, (1, 1))
+        T.tensor_sum(T.mul(y, Tensor(gy))).backward()
+        refs = deform_conv_vjp_reference(x, w, off, masks, gy)
+        for name, t, ref in zip(("x", "weight", "bias", "offsets", "masks"),
+                                tensors, refs):
+            np.testing.assert_allclose(t.grad, ref, rtol=1e-6, atol=1e-9,
+                                       err_msg=name)
+
+    def test_backward_computes_in_the_layer_dtype(self, rng):
+        # a float64 output gradient must not turn the float32 layer's
+        # gradients, and the products behind them, into float64
+        arrays = (rng.standard_normal((1, 2, 5, 5)),
+                  rng.standard_normal((3, 2, 3, 3)),
+                  rng.standard_normal((1, 3, 1, 1)),
+                  rng.uniform(-1.5, 1.5, (1, 18, 5, 5)),
+                  rng.uniform(0.0, 1.0, (1, 9, 5, 5)))
+        tensors = [Tensor(a.astype(np.float32), requires_grad=True)
+                   for a in arrays]
+        y = modulated_deform_conv2d(*tensors, (1, 1))
+        gy = rng.standard_normal(y.shape)
+        T.tensor_sum(T.mul(y, Tensor(gy))).backward()
+        for t in tensors:
+            assert t.grad.dtype == np.float32
 
     def test_gradcheck_all_five_groups(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)

@@ -415,3 +415,27 @@ class TestGradcheckNegativeControl:
         result = finite_diff_check("negative-control", build, [x],
                                    max_elements=6)
         assert not result.passed
+
+
+class TestFiniteDiffCheck:
+    def test_finite_differences_build_no_graph(self):
+        # with the cyclic collector off, any backward closure built by the
+        # perturbed forwards would be left behind in a reference cycle
+        model = SADNet(micro_config(), rng=np.random.default_rng(3),
+                       dtype=np.float64)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((1, 1, 8, 8)), requires_grad=True)
+        target = Tensor(rng.standard_normal((1, 1, 8, 8)))
+
+        def build():
+            return T.loss("L2", model(x), target)
+
+        params = [p for _, p in model.params()]
+        gc.collect()
+        gc.disable()
+        try:
+            finite_diff_check("model", build, [x, params[0]], max_elements=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert x.requires_grad and all(p.requires_grad for p in params)
