@@ -25,6 +25,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -149,14 +150,21 @@ def load_checkpoint(path) -> Checkpoint:
         config = ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
         rng_state = (_restore(json.loads(rng_blob.decode("utf-8")))
                      if rng_len else None)
-    except (KeyError, TypeError, ValueError) as exc:
+    # numpy reports an out-of-range integer with OverflowError and a
+    # malformed dtype string with SyntaxError
+    except (KeyError, TypeError, ValueError, OverflowError, SyntaxError) as exc:
         raise DataError(f"{path}: bad model config or RNG state: {exc!r}") from exc
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     order: list[str] = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        at = r.pos
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: tensor name at byte offset {at} is not "
+                            f"UTF-8: {exc}") from exc
         if name in tensors:
             raise DataError(f"{path}: duplicate tensor {name} in checkpoint")
         (ndim,) = r.unpack("<B")
@@ -165,7 +173,8 @@ def load_checkpoint(path) -> Checkpoint:
         if code not in _DTYPES:
             raise DataError(f"{path}: unknown dtype code {code} for tensor {name}")
         dtype = np.dtype(_DTYPES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        # Python integers: an int64 product of large dims can wrap to 0
+        nbytes = math.prod(shape) * dtype.itemsize
         arr = np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
         tensors[name] = arr
         order.append(name)
@@ -174,7 +183,17 @@ def load_checkpoint(path) -> Checkpoint:
                         f"the last tensor record at byte offset {r.pos}")
 
     dtype = tensors[order[0]].dtype if order else np.float32
-    model = SADNet(config, rng=np.random.default_rng(0), dtype=dtype)
+    for name in order:
+        # a mixed-dtype model would run every GEMM by upcasting
+        if tensors[name].dtype != dtype:
+            raise DataError(f"{path}: tensor {name} is {tensors[name].dtype}, "
+                            f"the model is {np.dtype(dtype)}")
+    try:
+        model = SADNet(config, rng=np.random.default_rng(0), dtype=dtype)
+    except MemoryError as exc:
+        # a damaged config (kernel_size 73, say) can ask for terabytes
+        raise DataError(f"{path}: model config too large to build: "
+                        f"{exc}") from exc
     adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=t)
     param_names = set()
     for name, p in model.params():

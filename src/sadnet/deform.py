@@ -9,8 +9,10 @@ sampling points are never moved into the image.
 This is the column form of DCNv2 (Zhu et al. 2019, arXiv:1811.11168): per
 kernel tap, one gather fetches the four bilinear corners of every sampling
 point, and their blend times the modulation fills that tap's rows of a
-``tensor._im2col``-layout column buffer; one GEMM gives the output. Backward
-keeps the columns; regathers corners and recomputes coordinates per tap.
+``tensor._im2col``-layout column buffer; one GEMM gives the output, and the
+columns are dropped. Backward keeps nothing from forward: per tap it
+recomputes the coordinates and regathers the corners, which refill the
+columns for the weight gradient, bit-identical to the forward's.
 Per tap, one channel contraction of the column gradient with the regathered
 corners gives the mask and offset gradients (the modulation does not depend
 on the channel, so it factors out of that sum). The input gradient is
@@ -152,8 +154,8 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     for k in range(k_taps):
         idx, wts, _, _ = _tap_corners(offsets.data, k, kw, padding, h, w, dtype)
         cols[:, :, k] = _blend(wts, _gather(flat, idx)) * mod[:, k]
-    cols = cols.reshape(n, c * k_taps, size)
-    y = (weight.data.reshape(o, -1) @ cols).reshape(n, o, out_h, out_w)
+    y = (weight.data.reshape(o, -1) @ cols.reshape(n, c * k_taps, size)
+         ).reshape(n, o, out_h, out_w)
     if bias is not None:
         y += bias.data
 
@@ -169,12 +171,14 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             gy = grad.reshape(n, o, size)
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(grad))
-            if weight.requires_grad:
-                weight.accumulate_grad(
-                    _weight_grad(gy, cols).reshape(weight.shape))
             gcols = (weight.data.reshape(o, -1).T @ gy).reshape(
                 n, c, k_taps, size)
+            # x, offsets and masks are unchanged since forward (op inputs
+            # are never mutated in place), so the refilled columns equal
+            # the forward's bit for bit
+            flat = x.data.reshape(n, c, h * w)
             mod = masks.data.reshape(n, k_taps, size)
+            cols = np.empty((n, c, k_taps, size), dtype=dtype)
             g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
             g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
             idx_all = np.empty((n, k_taps, 4, size), dtype=np.int64)
@@ -185,11 +189,16 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
                 idx_all[:, k], wts_all[:, k] = idx, wts
                 # per-corner channel sum of column gradient times sample;
                 # the modulation is channel-independent, so it factors out
-                p = np.einsum("ncjl,ncl->njl", _gather(flat, idx),
-                              gcols[:, :, k])
+                v = _gather(flat, idx)
+                cols[:, :, k] = _blend(wts, v) * mod[:, k, None]
+                p = np.einsum("ncjl,ncl->njl", v, gcols[:, :, k])
                 g_mask[:, k] = (wts * p).sum(axis=1)
                 g_off[:, 2 * k] = mod[:, k] * (wts_dy * p).sum(axis=1)
                 g_off[:, 2 * k + 1] = mod[:, k] * (wts_dx * p).sum(axis=1)
+            if weight.requires_grad:
+                weight.accumulate_grad(_weight_grad(
+                    gy, cols.reshape(n, c * k_taps, size)).reshape(weight.shape))
+            del cols
             gcols *= mod[:, None]
             # one bincount per image and channel over all taps: h*w float64
             # bins stay in cache, and the scatter-add stays deterministic

@@ -53,6 +53,15 @@ class ModelConfig:
                 f"for {self.scales} scales")
         if any(c < 1 for c in self.channels_per_scale):
             raise ConfigurationError("channels_per_scale entries must be positive")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ConfigurationError(
+                f"kernel_size must be odd and positive (same-size convolutions), "
+                f"got {self.kernel_size}")
+        if (self.updown_kernel < 1 or self.context_compression < 1
+                or any(d < 1 for d in self.context_dilations)):
+            raise ConfigurationError(
+                "updown_kernel, context_compression and context_dilations "
+                "must be positive")
         if self.channels_per_scale[-1] % self.context_compression != 0:
             raise ConfigurationError(
                 f"context_compression {self.context_compression} does not divide "

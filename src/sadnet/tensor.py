@@ -15,6 +15,15 @@ graph is unsupported; build the graph again instead.
 Convolutions share one column-GEMM core: ``_im2col`` lays a padded input
 out as (n, c*kh*kw, oh*ow) columns, ``_col2im`` is its adjoint, and every
 product is a batched matmul with the (out_c, in_c*kh*kw) weight matrix.
+A convolution keeps no columns from forward to backward: its backward pads
+its input again and rebuilds them for the weight gradient, trading one copy
+for memory (Chen et al. 2016, arXiv:1604.06174). That relies on the
+``Tensor`` convention that ``data`` is never mutated in place while a graph
+uses it. So a training step holds only the graph's own tensors.
+
+Every backward closure keeps the gradient in its layer's dtype: a float32
+graph never turns a gradient float64, which would make each GEMM below it
+upcast its operands.
 
 Determinism: all forward and backward computations are plain sequential
 numpy expressions; the reduction order is fixed (GEMM over the columns,
@@ -203,22 +212,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d output would be empty: input {x.shape}, kernel {kh}x{kw}, "
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, kh, kw, out_h, out_w, stride, dilation)
-    padded_shape = xp.shape
+    pad = ((0, 0), (0, 0), (ph, ph), (pw, pw))
+    cols = _im2col(np.pad(x.data, pad), kh, kw, out_h, out_w, stride, dilation)
     y = (weight.data.reshape(o, -1) @ cols).reshape(n, o, out_h, out_w)
     if bias is not None:
         y += bias.data
 
     prev = (x, weight) if bias is None else (x, weight, bias)
+    padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
 
     def make_backward(out: Tensor):
         def _backward():
             gy = out.grad
             gy2 = gy.reshape(n, o, -1)
             if weight.requires_grad:
+                # columns are rebuilt, not kept: x.data is unchanged since
+                # forward because op inputs are never mutated in place
+                cols = _im2col(np.pad(x.data, pad), kh, kw, out_h, out_w,
+                               stride, dilation)
                 weight.accumulate_grad(
                     _weight_grad(gy2, cols).reshape(weight.shape))
+                del cols
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(gy))
             if x.requires_grad:
@@ -285,7 +299,9 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
 
     def make_backward(out: Tensor):
         def _backward():
-            x.accumulate_grad(out.grad * np.where(mask, 1.0, slope))
+            # scaling the gradient itself keeps its dtype; a float64
+            # factor array would promote every gradient below this op
+            x.accumulate_grad(np.where(mask, out.grad, slope * out.grad))
         return _backward
 
     return _node(y, (x,), make_backward)

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sadnet import tensor as T
 from sadnet.checkpoint import (_write_tensor, diff_configs, load_checkpoint,
@@ -154,6 +155,90 @@ class TestCorruption:
                          + blob[count_at + 4:] + extra.getvalue())
         with pytest.raises(DataError, match=f"duplicate tensor {name}"):
             load_checkpoint(path)
+
+    def test_non_utf8_tensor_name(self, rng, tmp_path):
+        model, adam = trained_model(rng)
+        path = tmp_path / "n.sadn"
+        save_checkpoint(path, model, adam, 1)
+        blob = path.read_bytes()
+        name_at = _records_at(blob) + 2  # after the first name's u16 length
+        name_len = int.from_bytes(blob[name_at - 2:name_at], "little")
+        path.write_bytes(blob[:name_at] + b"\xff" * name_len
+                         + blob[name_at + name_len:])
+        with pytest.raises(DataError, match=f"byte offset {name_at} is not "
+                                            f"UTF-8"):
+            load_checkpoint(path)
+
+    def test_huge_shape_reports_truncation(self, rng, tmp_path):
+        # 65536**4 wraps to 0 in int64; the record must not pass as empty
+        model, adam = trained_model(rng)
+        path = tmp_path / "h.sadn"
+        save_checkpoint(path, model, adam, 1)
+        blob = path.read_bytes()
+        count_at = _records_at(blob) - 4
+        record = (b"\x01\x00x\x04" + (65536).to_bytes(4, "little") * 4
+                  + b"\x00")
+        path.write_bytes(blob[:count_at] + (1).to_bytes(4, "little") + record)
+        with pytest.raises(DataError, match="truncated checkpoint at byte "
+                                            f"offset {count_at + 4 + len(record)}"):
+            load_checkpoint(path)
+
+    def test_mixed_dtype_names_tensor(self, tmp_path):
+        model = SADNet(micro_config(), rng=np.random.default_rng(0),
+                       dtype=np.float32)
+        name, p = model.params()[-1]
+        p.data = p.data.astype(np.float64)
+        path = tmp_path / "m.sadn"
+        save_checkpoint(path, model, AdamState(), 0)
+        with pytest.raises(DataError, match=f"tensor {name} is float64, the "
+                                            f"model is float32"):
+            load_checkpoint(path)
+
+
+def _records_at(blob: bytes) -> int:
+    """Byte offset of the first tensor record of a checkpoint blob."""
+    cfg_len = int.from_bytes(blob[8:12], "little")
+    rng_len_at = 12 + cfg_len + 48  # iteration, Adam fields
+    rng_len = int.from_bytes(blob[rng_len_at:rng_len_at + 4], "little")
+    return rng_len_at + 4 + rng_len + 4  # RNG state, record count
+
+
+@pytest.fixture(scope="module")
+def micro_blob(tmp_path_factory):
+    """A trained micro checkpoint with Adam moments and an RNG state."""
+    model, adam = trained_model(np.random.default_rng(11))
+    path = tmp_path_factory.mktemp("blob") / "micro.sadn"
+    save_checkpoint(path, model, adam, 3, make_rng(5).bit_generator.state)
+    return path.read_bytes()
+
+
+class TestCorruptionProperty:
+    """Any damaged checkpoint either loads or raises DataError."""
+
+    @staticmethod
+    def _load_or_data_error(tmp_path_factory, blob: bytes) -> None:
+        path = tmp_path_factory.getbasetemp() / "mutated.sadn"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except DataError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_overwritten(self, micro_blob, tmp_path_factory, data):
+        at = data.draw(st.integers(0, len(micro_blob) - 1), label="offset")
+        value = data.draw(st.integers(0, 255), label="value")
+        self._load_or_data_error(
+            tmp_path_factory,
+            micro_blob[:at] + bytes([value]) + micro_blob[at + 1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, micro_blob, tmp_path_factory, data):
+        cut = data.draw(st.integers(0, len(micro_blob) - 1), label="length")
+        self._load_or_data_error(tmp_path_factory, micro_blob[:cut])
+
 
 class TestConfigMatching:
     def test_diff_names_fields(self):

@@ -214,6 +214,11 @@ class TestSADNet:
             ModelConfig(scales=3).validate()  # channel list length mismatch
         with pytest.raises(ConfigurationError):
             ModelConfig(channels_per_scale=(32, 64, 128, 250)).validate()
+        for bad in (dict(kernel_size=4), dict(kernel_size=0),
+                    dict(updown_kernel=0), dict(context_compression=0),
+                    dict(context_dilations=(1, 0, 3, 4))):
+            with pytest.raises(ConfigurationError):
+                ModelConfig(**bad).validate()
 
     def test_preset_1248(self):
         assert PRESETS["sadnet1248"].context_dilations == (1, 2, 4, 8)

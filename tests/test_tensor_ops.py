@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sadnet import tensor as T
+from sadnet.deform import modulated_deform_conv2d
 from sadnet.errors import ConfigurationError, UsageError
 from sadnet.tensor import Tensor
 
@@ -146,6 +150,49 @@ class TestConvTranspose:
         w_adj = Tensor(w.data.transpose(1, 0, 2, 3))
         ref = T.conv2d(Tensor(proj), w_adj, stride=(2, 2)).data
         np.testing.assert_allclose(x.grad, ref, rtol=1e-6, atol=1e-12)
+
+
+def _forward_growth(op):
+    """Traced bytes an op's result and saved state add, and the result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    return grown, out
+
+
+class TestForwardKeepsNoColumns:
+    """Backward rebuilds the columns, so forward leaves only its output."""
+
+    @pytest.mark.parametrize("stride,dilation,padding", [
+        ((1, 1), (1, 1), (1, 1)), ((2, 2), (1, 1), (1, 1)),
+        ((1, 1), (2, 2), (2, 2))])
+    def test_conv2d(self, rng, stride, dilation, padding):
+        x = Tensor(rng.standard_normal((2, 16, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros((1, 16, 1, 1), np.float32), requires_grad=True)
+        grown, out = _forward_growth(lambda: T.conv2d(
+            x, w, b, stride=stride, dilation=dilation, padding=padding))
+        assert grown <= out.data.nbytes + 64 * 1024
+
+    def test_modulated_deform_conv2d(self, rng):
+        arrays = (rng.standard_normal((2, 16, 32, 32)),
+                  rng.standard_normal((16, 16, 3, 3)),
+                  rng.standard_normal((1, 16, 1, 1)),
+                  rng.uniform(-1.5, 1.5, (2, 18, 32, 32)),
+                  rng.uniform(0.0, 1.0, (2, 9, 32, 32)))
+        tensors = [Tensor(a.astype(np.float32), requires_grad=True)
+                   for a in arrays]
+        grown, out = _forward_growth(
+            lambda: modulated_deform_conv2d(*tensors, (1, 1)))
+        assert grown <= out.data.nbytes + 64 * 1024
 
 
 class TestPointwise:

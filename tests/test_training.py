@@ -231,14 +231,15 @@ class TestStepMemory:
 
         With the cyclic collector off, a graph kept alive by a reference
         cycle or by the model would add a whole step's saved state to the
-        traced memory after every step. Step 1 also allocates Adam's moments,
-        so later steps are compared with the level step 1 leaves behind.
+        traced memory after every step. Step 1 allocates Adam's moments
+        after its own peak, so step 2 is the first step whose peak and
+        level include them; later steps are compared with step 2.
         """
         # the smoke config: 1 channel, 8/16/32/64, batch 4, patch 64
         cfg = tiny_train_config(
             tmp_path, rng, image_size=64,
             model=ModelConfig(in_channels=1, channels_per_scale=(8, 16, 32, 64)),
-            batch_size=4, patch_size=64, max_iters=3, log_interval=1,
+            batch_size=4, patch_size=64, max_iters=4, log_interval=1,
             checkpoint_interval=0)
         steps = []
 
@@ -258,11 +259,39 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert len(steps) == 3
-        (level, peak), later = steps[0], steps[1:]
+        assert len(steps) == 4
+        (level, peak), later = steps[1], steps[2:]
         for current, step_peak in later:
             assert abs(step_peak - peak) <= 0.05 * peak
             assert abs(current - level) <= 0.01 * peak
+
+
+class TestGradientDtype:
+    def test_float32_step_keeps_float32_gradients(self, rng, tmp_path,
+                                                  monkeypatch):
+        # a float64 gradient anywhere would make every GEMM below it upcast
+        seen = []
+        accumulate = Tensor.accumulate_grad
+
+        def recorded(self, g):
+            seen.append((g.dtype, self.data.dtype))
+            accumulate(self, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recorded)
+        train(tiny_train_config(tmp_path, rng, max_iters=1,
+                                checkpoint_interval=0), log_stream=io.StringIO())
+        assert seen
+        f32 = np.dtype(np.float32)
+        assert set(seen) == {(f32, f32)}
+
+    def test_leaky_relu_backward_keeps_dtype(self, rng):
+        for dtype in (np.float32, np.float64):
+            x = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(dtype),
+                       requires_grad=True)
+            T.tensor_sum(T.leaky_relu(x)).backward()
+            assert x.grad.dtype == dtype
+            np.testing.assert_array_equal(
+                x.grad, np.where(x.data >= 0, 1.0, 0.2).astype(dtype))
 
 
 class TestInference:
