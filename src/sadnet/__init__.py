@@ -2,7 +2,7 @@
 
 from .data import (ImageBuffer, NoiseSpec, add_awgn, augment, from_tensor,
                    load_image, save_image, to_tensor)
-from .deform import bilinear_sample, modulated_deform_conv2d
+from .deform import modulated_deform_conv2d
 from .errors import ConfigurationError, DataError, NumericError, UsageError
 from .metrics import MetricReport, psnr, ssim
 from .model import (ModelConfig, SADNet, count_params_flops, export_offsets,
@@ -17,7 +17,7 @@ __all__ = [
     "AdamState", "ConfigurationError", "DataError", "ImageBuffer",
     "MetricReport", "ModelConfig", "NoiseSpec", "NumericError", "SADNet",
     "Tensor", "TrainConfig", "UsageError", "adam_step", "add_awgn", "augment",
-    "bilinear_sample", "conv2d", "conv2d_transpose", "count_params_flops",
+    "conv2d", "conv2d_transpose", "count_params_flops",
     "denoise_image", "evaluate", "export_offsets", "from_tensor",
     "load_image", "loss", "lr_schedule",
     "modulated_deform_conv2d", "psnr", "save_image", "ssim", "to_tensor",

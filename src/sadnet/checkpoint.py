@@ -19,7 +19,9 @@ Layout (little-endian throughout):
 Tensor records are the model parameters in model order, followed by the
 ADAM first/second moments under "adam.m.<name>" / "adam.v.<name>" once the
 optimizer has stepped. The fixed ordering makes save -> load -> save
-byte-identical.
+byte-identical. Loading checks every moment against the model: it must name
+a parameter, have that parameter's shape, and come with its m/v partner,
+so a resumed run never restarts one parameter's Adam state silently.
 """
 
 from __future__ import annotations
@@ -80,12 +82,15 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 class _Reader:
+    """Reads a checkpoint blob through zero-copy memoryview slices: each
+    tensor is copied once, out of the file's bytes into its own array."""
+
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise DataError(
                 f"{self.path}: truncated checkpoint at byte offset {self.pos} "
@@ -147,8 +152,8 @@ def load_checkpoint(path) -> Checkpoint:
     (rng_len,) = r.unpack("<I")
     rng_blob = r.take(rng_len)
     try:
-        config = ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
-        rng_state = (_restore(json.loads(rng_blob.decode("utf-8")))
+        config = ModelConfig.from_dict(json.loads(str(cfg_blob, "utf-8")))
+        rng_state = (_restore(json.loads(str(rng_blob, "utf-8")))
                      if rng_len else None)
     # numpy reports an out-of-range integer with OverflowError and a
     # malformed dtype string with SyntaxError
@@ -161,7 +166,7 @@ def load_checkpoint(path) -> Checkpoint:
         (name_len,) = r.unpack("<H")
         at = r.pos
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = str(r.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: tensor name at byte offset {at} is not "
                             f"UTF-8: {exc}") from exc
@@ -189,15 +194,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: tensor {name} is {tensors[name].dtype}, "
                             f"the model is {np.dtype(dtype)}")
     try:
-        model = SADNet(config, rng=np.random.default_rng(0), dtype=dtype)
+        model = SADNet(config, dtype=dtype)
     except MemoryError as exc:
         # a damaged config (kernel_size 73, say) can ask for terabytes
         raise DataError(f"{path}: model config too large to build: "
                         f"{exc}") from exc
     adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=t)
-    param_names = set()
+    shapes = {}
     for name, p in model.params():
-        param_names.add(name)
+        shapes[name] = p.data.shape
         if name not in tensors:
             raise DataError(f"{path}: checkpoint missing parameter {name}")
         if tensors[name].shape != p.data.shape:
@@ -205,13 +210,28 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: parameter {name} has shape {tensors[name].shape}, "
                 f"model expects {p.data.shape}")
         p.data = tensors[name]
+    moments = {"adam.m.": adam.m, "adam.v.": adam.v}
     for name in order:
-        if name.startswith("adam.m."):
-            adam.m[name[len("adam.m."):]] = tensors[name]
-        elif name.startswith("adam.v."):
-            adam.v[name[len("adam.v."):]] = tensors[name]
-        elif name not in param_names:
+        prefix = name[:len("adam.m.")]
+        if prefix in moments:
+            param = name[len(prefix):]
+            if param not in shapes:
+                raise DataError(f"{path}: Adam moment {name} names no model "
+                                f"parameter")
+            if tensors[name].shape != shapes[param]:
+                raise DataError(
+                    f"{path}: Adam moment {name} has shape "
+                    f"{tensors[name].shape}, parameter {param} has "
+                    f"{shapes[param]}")
+            moments[prefix][param] = tensors[name]
+        elif name not in shapes:
             raise DataError(f"{path}: unexpected tensor {name} in checkpoint")
+    unpaired = sorted(adam.m.keys() ^ adam.v.keys())
+    if unpaired:
+        param = unpaired[0]
+        have, lack = ("m", "v") if param in adam.m else ("v", "m")
+        raise DataError(f"{path}: Adam moment adam.{have}.{param} has no "
+                        f"adam.{lack}.{param}")
     return Checkpoint(config, model, adam, iteration, rng_state)
 
 

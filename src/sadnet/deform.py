@@ -16,9 +16,16 @@ columns for the weight gradient, bit-identical to the forward's.
 Per tap, one channel contraction of the column gradient with the regathered
 corners gives the mask and offset gradients (the modulation does not depend
 on the channel, so it factors out of that sum). The input gradient is
-scatter-added after the tap loop, one ``np.bincount`` per image and channel
-over all taps and corners into h*w bins. Backward computes in the layer's
-dtype whatever the dtype of the incoming gradient.
+scatter-added after the tap loop, one ``np.bincount`` per band, image and
+channel over all taps and corners. Backward computes in the layer's dtype
+whatever the dtype of the incoming gradient.
+
+Forward and backward run in the row bands of ``tensor._bands``: one band's
+columns, column gradient and (n, K, 4, L) corner tables are all that is
+built at a time. Offsets can move a sample anywhere in the image, so each
+band scatters into float64 bins for the whole input gradient (only between
+the band's lowest and highest corner index), summed across bands and cast
+to the layer dtype once at the end.
 
 Sampling coordinates are clamped to [-2, h] (rows) and [-2, w] (columns)
 before ``floor()``. Beyond those bounds all four corners already lie outside
@@ -29,9 +36,10 @@ Gradient convention at exact integer coordinates: the surrounding-4-pixel
 bilinear formula with floor() anchoring, i.e. the one-sided derivative from
 the upper cell. Gradient checks must perturb offsets away from integers.
 
-Determinism: taps run in row-major order and each ``np.bincount`` adds its
-weights in a fixed order, in float64, before one cast to the input dtype, so
-identical inputs give bit-identical results.
+Determinism: bands run in a fixed order, taps in row-major order within a
+band, and each ``np.bincount`` adds its weights in a fixed order, in
+float64, before one cast to the input dtype, so identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -39,27 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _bias_grad, _node, _weight_grad
-
-
-def bilinear_sample(feature: np.ndarray, y: float, x: float,
-                    batch: int, channel: int) -> float:
-    """Reference scalar bilinear sample of feature (n, c, h, w) at (y, x).
-
-    Total function: out-of-bounds pixels contribute 0. Used as the oracle
-    for the vectorized layer below.
-    """
-    _, _, h, w = feature.shape
-    y0 = int(np.floor(y))
-    x0 = int(np.floor(x))
-    fy = y - y0
-    fx = x - x0
-    val = 0.0
-    for iy, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
-        for ix, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
-            if 0 <= iy < h and 0 <= ix < w:
-                val += wy * wx * float(feature[batch, channel, iy, ix])
-    return val
+from .tensor import Tensor, _bands, _bias_grad, _node, _weight_grad
 
 
 # Which corners sit one pixel further down / right; corner order is
@@ -69,16 +57,17 @@ _NEXT_X = np.array([False, True, False, True])[None, :, None]
 
 
 def _tap_corners(offsets: np.ndarray, k: int, kw: int, padding, h: int, w: int,
-                 dtype):
+                 dtype, row0: int):
     """The four bilinear corners of kernel tap k at every output pixel.
 
-    Returns (idx, wts, wts_dy, wts_dx), each (n, 4, oh*ow): flat pixel index
-    clipped into the image; bilinear weight, 0 outside the image; and the
-    weight's derivatives along the sampling coordinates.
+    ``offsets`` holds output rows row0, row0 + 1, ... of the offset field.
+    Returns (idx, wts, wts_dy, wts_dx), each (n, 4, rows*ow): flat pixel
+    index clipped into the image; bilinear weight, 0 outside the image; and
+    the weight's derivatives along the sampling coordinates.
     """
     n, _, oh, ow = offsets.shape
     ki, kj = divmod(k, kw)
-    py = (np.arange(oh, dtype=dtype)[:, None] - padding[0] + ki
+    py = (np.arange(row0, row0 + oh, dtype=dtype)[:, None] - padding[0] + ki
           + offsets[:, 2 * k]).reshape(n, 1, -1)
     px = (np.arange(ow, dtype=dtype) - padding[1] + kj
           + offsets[:, 2 * k + 1]).reshape(n, 1, -1)
@@ -147,15 +136,31 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     dtype = x.data.dtype
     size = out_h * out_w
+    # one output row's deformable columns plus its backward corner tables
+    row_bytes = k_taps * out_w * (c * dtype.itemsize
+                                  + 4 * (8 + dtype.itemsize))
+
+    def band_fields(images, r0, r1):
+        """Offsets, (nb, K, L) modulation and flat-pixel slice of a band."""
+        band = slice(r0 * out_w, r1 * out_w)
+        mod = masks.data[images].reshape(-1, k_taps, size)[:, :, band]
+        return offsets.data[images, :, r0:r1], mod, band
+
     flat = x.data.reshape(n, c, h * w)
-    mod = masks.data.reshape(n, k_taps, 1, size)
-    # deformable columns in tensor._im2col's layout
-    cols = np.empty((n, c, k_taps, size), dtype=dtype)
-    for k in range(k_taps):
-        idx, wts, _, _ = _tap_corners(offsets.data, k, kw, padding, h, w, dtype)
-        cols[:, :, k] = _blend(wts, _gather(flat, idx)) * mod[:, k]
-    y = (weight.data.reshape(o, -1) @ cols.reshape(n, c * k_taps, size)
-         ).reshape(n, o, out_h, out_w)
+    w2 = weight.data.reshape(o, -1)
+    y = np.empty((n, o, size), dtype=np.result_type(w2, dtype))
+    for images, r0, r1 in _bands(n, out_h, row_bytes):
+        off, mod, band = band_fields(images, r0, r1)
+        nb, _, length = mod.shape
+        # deformable columns in tensor._im2col's layout
+        cols = np.empty((nb, c, k_taps, length), dtype=dtype)
+        for k in range(k_taps):
+            idx, wts, _, _ = _tap_corners(off, k, kw, padding, h, w, dtype, r0)
+            cols[:, :, k] = (_blend(wts, _gather(flat[images], idx))
+                             * mod[:, k, None])
+        np.matmul(w2, cols.reshape(nb, c * k_taps, length),
+                  out=y[images, :, band])
+    y = y.reshape(n, o, out_h, out_w)
     if bias is not None:
         y += bias.data
 
@@ -168,50 +173,61 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             # an upstream float64 gradient would make every product below a
             # mixed-dtype one that numpy runs by upcasting the columns
             grad = out.grad.astype(dtype, copy=False)
-            gy = grad.reshape(n, o, size)
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(grad))
-            gcols = (weight.data.reshape(o, -1).T @ gy).reshape(
-                n, c, k_taps, size)
+            gy = grad.reshape(n, o, size)
             # x, offsets and masks are unchanged since forward (op inputs
             # are never mutated in place), so the refilled columns equal
             # the forward's bit for bit
             flat = x.data.reshape(n, c, h * w)
-            mod = masks.data.reshape(n, k_taps, size)
-            cols = np.empty((n, c, k_taps, size), dtype=dtype)
+            w2 = weight.data.reshape(o, -1)
             g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
             g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
-            idx_all = np.empty((n, k_taps, 4, size), dtype=np.int64)
-            wts_all = np.empty((n, k_taps, 4, size), dtype=dtype)
-            for k in range(k_taps):
-                idx, wts, wts_dy, wts_dx = _tap_corners(
-                    offsets.data, k, kw, padding, h, w, dtype)
-                idx_all[:, k], wts_all[:, k] = idx, wts
-                # per-corner channel sum of column gradient times sample;
-                # the modulation is channel-independent, so it factors out
-                v = _gather(flat, idx)
-                cols[:, :, k] = _blend(wts, v) * mod[:, k, None]
-                p = np.einsum("ncjl,ncl->njl", v, gcols[:, :, k])
-                g_mask[:, k] = (wts * p).sum(axis=1)
-                g_off[:, 2 * k] = mod[:, k] * (wts_dy * p).sum(axis=1)
-                g_off[:, 2 * k + 1] = mod[:, k] * (wts_dx * p).sum(axis=1)
+            gw = np.zeros(w2.shape, dtype=dtype)
+            # float64 bins for the whole input, summed over bands in order
+            gx = np.zeros((n, c, h * w))
+            for images, r0, r1 in _bands(n, out_h, row_bytes):
+                off, mod, band = band_fields(images, r0, r1)
+                nb, _, length = mod.shape
+                gyb = gy[images, :, band]
+                gcols = (w2.T @ gyb).reshape(nb, c, k_taps, length)
+                cols = np.empty((nb, c, k_taps, length), dtype=dtype)
+                idx_all = np.empty((nb, k_taps, 4, length), dtype=np.int64)
+                wts_all = np.empty((nb, k_taps, 4, length), dtype=dtype)
+                for k in range(k_taps):
+                    idx, wts, wts_dy, wts_dx = _tap_corners(
+                        off, k, kw, padding, h, w, dtype, r0)
+                    idx_all[:, k], wts_all[:, k] = idx, wts
+                    # per-corner channel sum of column gradient times
+                    # sample; the modulation is channel-independent, so it
+                    # factors out
+                    v = _gather(flat[images], idx)
+                    cols[:, :, k] = _blend(wts, v) * mod[:, k, None]
+                    p = np.einsum("ncjl,ncl->njl", v, gcols[:, :, k])
+                    g_mask[images, k, band] = (wts * p).sum(axis=1)
+                    g_off[images, 2 * k, band] = (
+                        mod[:, k] * (wts_dy * p).sum(axis=1))
+                    g_off[images, 2 * k + 1, band] = (
+                        mod[:, k] * (wts_dx * p).sum(axis=1))
+                if weight.requires_grad:
+                    gw += _weight_grad(
+                        gyb, cols.reshape(nb, c * k_taps, length))
+                del cols
+                gcols *= mod[:, None]
+                # one bincount per image and channel over the band's taps,
+                # into the bins between its lowest and highest corner
+                for j, i in enumerate(range(n)[images]):
+                    lo = int(idx_all[j].min())
+                    bins = (idx_all[j] - lo).ravel()
+                    for ch in range(c):
+                        part = np.bincount(bins, weights=(
+                            gcols[j, ch][:, None] * wts_all[j]).ravel())
+                        gx[i, ch, lo: lo + len(part)] += part
             if weight.requires_grad:
-                weight.accumulate_grad(_weight_grad(
-                    gy, cols.reshape(n, c * k_taps, size)).reshape(weight.shape))
-            del cols
-            gcols *= mod[:, None]
-            # one bincount per image and channel over all taps: h*w float64
-            # bins stay in cache, and the scatter-add stays deterministic
-            gx = np.empty((n, c, h * w), dtype=dtype)
-            for i in range(n):
-                for ch in range(c):
-                    gx[i, ch] = np.bincount(
-                        idx_all[i].ravel(),
-                        weights=(gcols[i, ch][:, None] * wts_all[i]).ravel(),
-                        minlength=h * w)
+                weight.accumulate_grad(gw.reshape(weight.shape))
             masks.accumulate_grad(g_mask.reshape(masks.shape))
             offsets.accumulate_grad(g_off.reshape(offsets.shape))
-            x.accumulate_grad(gx.reshape(x.shape))
+            x.accumulate_grad(gx.astype(dtype).reshape(x.shape))
         return _backward
 
     return _node(y, tuple(prev), make_backward)

@@ -116,7 +116,11 @@ class ScaleState:
     masks: np.ndarray
 
 
-def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype):
+def _he_uniform(rng: np.random.Generator | None, shape, fan_in: int, dtype):
+    if rng is None:
+        # weights a checkpoint overwrites: np.zeros maps pages untouched, so
+        # a skeleton costs neither random draws nor page faults
+        return np.zeros(shape, dtype=dtype)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
@@ -319,13 +323,15 @@ class ContextBlock:
 
 
 class SADNet:
-    """The full network; construction order fixes parameter ordering."""
+    """The full network; construction order fixes parameter ordering.
+
+    ``rng`` draws the He-uniform initial weights. With ``rng=None`` every
+    weight is zero: a skeleton for ``load_checkpoint`` to fill.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
                  dtype=np.float32):
         config.validate()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.config = config
         cfg = config
         ch = cfg.channels_per_scale

@@ -21,14 +21,30 @@ for memory (Chen et al. 2016, arXiv:1604.06174). That relies on the
 ``Tensor`` convention that ``data`` is never mutated in place while a graph
 uses it. So a training step holds only the graph's own tensors.
 
+``conv2d`` and the deformable conv work in bands of output rows (``_bands``):
+pad, im2col and GEMM in forward, and the column rebuild, weight gradient and
+column-gradient scatter in backward, run one band at a time, and each band's
+columns fit in ``_BAND_BYTES`` (16 MiB; at least one output row of one
+image). So what one op allocates beyond its inputs, output and gradients does
+not grow with the image. Whole images share a band while they fit, which
+leaves small layers in one band. ``conv2d_transpose`` is not banded: its
+2x2 stride-2 columns are the size of its output.
+
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
 upcast its operands.
 
 Determinism: all forward and backward computations are plain sequential
 numpy expressions; the reduction order is fixed (GEMM over the columns,
-kernel positions in row-major order), so two runs on identical inputs
-produce bit-identical results.
+kernel positions in row-major order, bands from the first image and row to
+the last), so two runs on identical inputs produce bit-identical results.
+Weight-gradient partials and the overlapping halo rows of the input
+gradient are summed band by band in that order, so a gradient may differ
+in the last bits from an unbanded sum. Splitting the GEMM's columns into
+bands leaves each output element's dot product alone, but OpenBLAS may
+round a narrow column block otherwise than the same columns inside a wide
+one; forwards of the stock model at 160x240 and 320x480 matched the
+unbanded ones bit for bit.
 """
 
 from __future__ import annotations
@@ -178,6 +194,57 @@ def _col2im(cols: np.ndarray, shape, kh: int, kw: int, out_h: int, out_w: int,
     return out
 
 
+# Most bytes one band's columns may take. Convolutions build their columns,
+# run their GEMMs and scatter their column gradients band by band, so what
+# one op allocates stays near this size whatever the image size. 16 MiB
+# keeps every layer of a batch-4, patch-64 training step in one band (the
+# largest, a 4x8x64x64 deformable conv, takes 11.8 MB), so small arrays
+# pay no per-band overhead, while a 320x480 stock denoise peaks at less than
+# half of what whole-image columns take.
+_BAND_BYTES = 16 << 20
+
+
+def _bands(n: int, out_h: int, row_bytes: int):
+    """Yield (images, r0, r1) bands of output rows in a fixed order.
+
+    ``row_bytes`` is what one output row of one image costs. Whole images
+    are grouped while they fit in ``_BAND_BYTES``; a larger image is cut
+    into bands of rows, image by image (at least one row per band).
+    """
+    rows = max(1, _BAND_BYTES // row_bytes)
+    if rows >= out_h:
+        step = rows // out_h
+        for i in range(0, n, step):
+            yield slice(i, min(n, i + step)), 0, out_h
+    else:
+        for i in range(n):
+            for r0 in range(0, out_h, rows):
+                yield slice(i, i + 1), r0, min(out_h, r0 + rows)
+
+
+def _band_rows(r0: int, r1: int, kh: int, stride, dilation) -> tuple[int, int]:
+    """Padded input rows [p0, p1) that output rows [r0, r1) read."""
+    return r0 * stride[0], (r1 - 1) * stride[0] + dilation[0] * (kh - 1) + 1
+
+
+def _inside(p0: int, p1: int, ph: int, h: int) -> tuple[slice, slice]:
+    """The input rows among padded rows [p0, p1), and their place there."""
+    lo = max(p0 - ph, 0)
+    hi = max(min(p1 - ph, h), lo)
+    return slice(lo, hi), slice(lo - p0 + ph, hi - p0 + ph)
+
+
+def _padded_rows(x: np.ndarray, images: slice, p0: int, p1: int,
+                 padding) -> np.ndarray:
+    """Rows [p0, p1) of the zero-padded x[images]."""
+    ph, pw = padding
+    n, c, h, w = x[images].shape
+    xp = np.zeros((n, c, p1 - p0, w + 2 * pw), dtype=x.dtype)
+    rows, at = _inside(p0, p1, ph, h)
+    xp[:, :, at, pw: pw + w] = x[images, :, rows]
+    return xp
+
+
 def _weight_grad(gy: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum over the batch of gy[i] @ cols[i].T: (n, o, L), (n, K, L) -> (o, K).
 
@@ -212,33 +279,54 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d output would be empty: input {x.shape}, kernel {kh}x{kw}, "
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
-    pad = ((0, 0), (0, 0), (ph, ph), (pw, pw))
-    cols = _im2col(np.pad(x.data, pad), kh, kw, out_h, out_w, stride, dilation)
-    y = (weight.data.reshape(o, -1) @ cols).reshape(n, o, out_h, out_w)
+    row_bytes = c * kh * kw * out_w * x.data.itemsize
+
+    def band_cols(images, r0, r1):
+        p0, p1 = _band_rows(r0, r1, kh, stride, dilation)
+        return _im2col(_padded_rows(x.data, images, p0, p1, padding),
+                       kh, kw, r1 - r0, out_w, stride, dilation)
+
+    w2 = weight.data.reshape(o, -1)
+    y = np.empty((n, o, out_h * out_w), dtype=np.result_type(w2, x.data))
+    for images, r0, r1 in _bands(n, out_h, row_bytes):
+        np.matmul(w2, band_cols(images, r0, r1),
+                  out=y[images, :, r0 * out_w: r1 * out_w])
+    y = y.reshape(n, o, out_h, out_w)
     if bias is not None:
         y += bias.data
 
     prev = (x, weight) if bias is None else (x, weight, bias)
-    padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
 
     def make_backward(out: Tensor):
         def _backward():
             gy = out.grad
-            gy2 = gy.reshape(n, o, -1)
-            if weight.requires_grad:
-                # columns are rebuilt, not kept: x.data is unchanged since
-                # forward because op inputs are never mutated in place
-                cols = _im2col(np.pad(x.data, pad), kh, kw, out_h, out_w,
-                               stride, dilation)
-                weight.accumulate_grad(
-                    _weight_grad(gy2, cols).reshape(weight.shape))
-                del cols
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(gy))
-            if x.requires_grad:
-                gxp = _col2im(weight.data.reshape(o, -1).T @ gy2, padded_shape,
-                              kh, kw, out_h, out_w, stride, dilation)
-                x.accumulate_grad(gxp[:, :, ph: ph + h, pw: pw + w])
+            gy2 = gy.reshape(n, o, -1)
+            w2 = weight.data.reshape(o, -1)
+            gw = (np.zeros(w2.shape, np.result_type(gy, x.data))
+                  if weight.requires_grad else None)
+            gx = (np.zeros(x.shape, np.result_type(w2, gy))
+                  if x.requires_grad else None)
+            # bands run in a fixed order, so the weight-gradient partials
+            # and the overlapping halo rows of gx add up the same every run
+            for images, r0, r1 in _bands(n, out_h, row_bytes):
+                gyb = gy2[images, :, r0 * out_w: r1 * out_w]
+                if gw is not None:
+                    # columns are rebuilt, not kept: x.data is unchanged
+                    # since forward because op inputs are never mutated
+                    gw += _weight_grad(gyb, band_cols(images, r0, r1))
+                if gx is not None:
+                    p0, p1 = _band_rows(r0, r1, kh, stride, dilation)
+                    gxp = _col2im(w2.T @ gyb,
+                                  (gyb.shape[0], c, p1 - p0, w + 2 * pw),
+                                  kh, kw, r1 - r0, out_w, stride, dilation)
+                    rows, at = _inside(p0, p1, ph, h)
+                    gx[images, :, rows] += gxp[:, :, at, pw: pw + w]
+            if gw is not None:
+                weight.accumulate_grad(gw.reshape(weight.shape))
+            if gx is not None:
+                x.accumulate_grad(gx)
         return _backward
 
     return _node(y, prev, make_backward)

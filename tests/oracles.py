@@ -6,7 +6,25 @@ deliberately sharing no code with the library's vectorized paths.
 
 import numpy as np
 
-from sadnet.deform import bilinear_sample
+
+def bilinear_sample(feature: np.ndarray, y: float, x: float,
+                    batch: int, channel: int) -> float:
+    """Reference scalar bilinear sample of feature (n, c, h, w) at (y, x).
+
+    Total function: out-of-bounds pixels contribute 0. The oracle for the
+    vectorized sampling of ``sadnet.deform``.
+    """
+    _, _, h, w = feature.shape
+    y0 = int(np.floor(y))
+    x0 = int(np.floor(x))
+    fy = y - y0
+    fx = x - x0
+    val = 0.0
+    for iy, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+        for ix, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+            if 0 <= iy < h and 0 <= ix < w:
+                val += wy * wx * float(feature[batch, channel, iy, ix])
+    return val
 
 
 def conv2d_reference(x, w, b=None, stride=(1, 1), dilation=(1, 1), padding=(0, 0)):

@@ -212,6 +212,56 @@ def micro_blob(tmp_path_factory):
     return path.read_bytes()
 
 
+def _with_records(blob: bytes, *records) -> bytes:
+    """A checkpoint blob with extra (name, array) tensor records appended."""
+    count_at = _records_at(blob) - 4
+    count = int.from_bytes(blob[count_at:count_at + 4], "little")
+    extra = io.BytesIO()
+    for name, arr in records:
+        _write_tensor(extra, name, arr)
+    return (blob[:count_at] + (count + len(records)).to_bytes(4, "little")
+            + blob[count_at + 4:] + extra.getvalue())
+
+
+class TestAdamMoments:
+    """Every moment must pair with a parameter of its shape, m with v."""
+
+    def test_renamed_moment_rejected(self, micro_blob, tmp_path):
+        # same-length rename: the file stays well-formed, only the name lies
+        path = tmp_path / "renamed.sadn"
+        path.write_bytes(micro_blob.replace(b"adam.m.head.weight",
+                                            b"adam.m.heaX.weight"))
+        with pytest.raises(DataError, match=r"adam\.m\.heaX\.weight names no "
+                                            r"model parameter"):
+            load_checkpoint(path)
+
+    def test_misshapen_moment_rejected(self, tmp_path):
+        model = SADNet(micro_config(), rng=np.random.default_rng(0),
+                       dtype=np.float64)
+        path = tmp_path / "fresh.sadn"
+        save_checkpoint(path, model, AdamState(), 0)
+        moment = np.zeros((1, 4, 1, 1))  # head.weight is (4, 1, 1, 1)
+        path.write_bytes(_with_records(
+            path.read_bytes(), ("adam.m.head.weight", moment),
+            ("adam.v.head.weight", moment)))
+        with pytest.raises(DataError, match=r"adam\.m\.head\.weight has shape "
+                                            r"\(1, 4, 1, 1\), parameter "
+                                            r"head\.weight has \(4, 1, 1, 1\)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("have,lack", [("m", "v"), ("v", "m")])
+    def test_unpaired_moment_rejected(self, tmp_path, have, lack):
+        model = SADNet(micro_config(), rng=np.random.default_rng(0),
+                       dtype=np.float64)
+        path = tmp_path / "fresh.sadn"
+        save_checkpoint(path, model, AdamState(), 0)
+        path.write_bytes(_with_records(
+            path.read_bytes(), (f"adam.{have}.head.bias", np.zeros((1, 4, 1, 1)))))
+        with pytest.raises(DataError, match=rf"adam\.{have}\.head\.bias has no "
+                                            rf"adam\.{lack}\.head\.bias"):
+            load_checkpoint(path)
+
+
 class TestCorruptionProperty:
     """Any damaged checkpoint either loads or raises DataError."""
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,33 @@ class TestSSIM:
                               gaussian_window(),
                               (0.01 * 255) ** 2, (0.03 * 255) ** 2)
         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(157, 237, 3), (11, 11, 1)])
+    def test_separable_filter_matches_reference(self, rng, shape):
+        # a ragged colour pair, and the smallest image with one window
+        a = rng.integers(0, 256, shape)
+        b = np.clip(a + rng.integers(-40, 41, shape), 0, 255)
+        want = np.mean([ssim_reference(a[:, :, c].astype(np.float64),
+                                       b[:, :, c].astype(np.float64),
+                                       gaussian_window(), (0.01 * 255) ** 2,
+                                       (0.03 * 255) ** 2)
+                        for c in range(shape[2])])
+        assert abs(ssim(buf(a), buf(b)) - want) <= 1e-12
+
+    def test_transient_memory_is_bounded(self, rng):
+        # a 2-D window view times the window takes 121 float64 values per
+        # pixel (about 275 MB per 320x480 channel); the separable filter
+        # needs a few image-sized arrays
+        a = buf(rng.integers(0, 256, (320, 480, 3)))
+        b = buf(rng.integers(0, 256, (320, 480, 3)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_color_averages_channels(self, rng):
         samples = rng.integers(0, 256, (16, 16, 3)).astype(np.uint8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sadnet import tensor as T
+from sadnet import deform, tensor as T
 from sadnet.deform import modulated_deform_conv2d
 from sadnet.errors import ConfigurationError, UsageError
 from sadnet.tensor import Tensor
@@ -193,6 +193,136 @@ class TestForwardKeepsNoColumns:
         grown, out = _forward_growth(
             lambda: modulated_deform_conv2d(*tensors, (1, 1)))
         assert grown <= out.data.nbytes + 64 * 1024
+
+
+def _conv_case(rng, stride, dilation, padding):
+    """A conv2d and its inputs: 2 images of a ragged size."""
+    x = rng.standard_normal((2, 6, 23, 17))
+    w = rng.standard_normal((5, 6, 3, 3))
+    b = rng.standard_normal((1, 5, 1, 1))
+
+    def op(x, w, b):
+        return T.conv2d(x, w, b, stride=stride, dilation=dilation,
+                        padding=padding)
+    return op, (x, w, b)
+
+
+def _deform_case(rng):
+    # offsets up to 3 pixels reach across band boundaries
+    x = rng.standard_normal((2, 6, 23, 17))
+    w = rng.standard_normal((5, 6, 3, 3))
+    b = rng.standard_normal((1, 5, 1, 1))
+    off = rng.uniform(-3.0, 3.0, (2, 18, 23, 17))
+    masks = rng.uniform(0.0, 1.0, (2, 9, 23, 17))
+
+    def op(*tensors):
+        return modulated_deform_conv2d(*tensors, (1, 1))
+    return op, (x, w, b, off, masks)
+
+
+_real_bands = T._bands
+
+
+def _run_banded(monkeypatch, budget, op, arrays, gy):
+    """Forward and every gradient of op under a band budget; the bands used."""
+    seen = []
+
+    def recording(*args):
+        for band in _real_bands(*args):
+            seen.append(band)
+            yield band
+    monkeypatch.setattr(T, "_BAND_BYTES", budget)
+    monkeypatch.setattr(T, "_bands", recording)
+    monkeypatch.setattr(deform, "_bands", recording)
+    tensors = [Tensor(a.astype(gy.dtype), requires_grad=True) for a in arrays]
+    y = op(*tensors)
+    T.tensor_sum(T.mul(y, Tensor(gy))).backward()
+    return y.data, [t.grad for t in tensors], seen
+
+
+class TestBands:
+    """Row bands change what an op allocates, not what it computes.
+
+    A budget below one output row forces one row per band. The forward and
+    every gradient match the single-band run to 1e-6 of their largest
+    element: halo rows and weight partials are summed in another order,
+    and OpenBLAS may round a narrow GEMM block (17 columns here) otherwise
+    than the same columns inside a wide one. Banded runs repeat exactly.
+    """
+
+    CASES = {"stride1": ((1, 1), (1, 1), (1, 1)),
+             "stride2": ((2, 2), (1, 1), (1, 1)),
+             "dilated": ((1, 1), (2, 2), (2, 2))}
+
+    def _check(self, monkeypatch, rng, dtype, op, arrays):
+        gy = rng.standard_normal(op(*map(Tensor, arrays)).shape).astype(dtype)
+        one_y, one_g, one_bands = _run_banded(monkeypatch, 1 << 40, op,
+                                              arrays, gy)
+        y, grads, bands = _run_banded(monkeypatch, 1, op, arrays, gy)
+        y2, grads2, _ = _run_banded(monkeypatch, 1, op, arrays, gy)
+        assert len(one_bands) == 2  # forward and backward, one band each
+        assert len(bands) >= 6  # at least 3 bands in forward and backward
+        for got, ref, again in zip([y] + grads, [one_y] + one_g,
+                                   [y2] + grads2):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=1e-6,
+                                       atol=1e-6 * np.abs(ref).max())
+            np.testing.assert_array_equal(again, got)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_conv2d(self, monkeypatch, rng, case, dtype):
+        self._check(monkeypatch, rng, dtype,
+                    *_conv_case(rng, *self.CASES[case]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_modulated_deform_conv2d(self, monkeypatch, rng, dtype):
+        self._check(monkeypatch, rng, dtype, *_deform_case(rng))
+
+
+class TestBoundedTransients:
+    """What one large op allocates stays near the band budget.
+
+    Inputs are made before tracing. Forward may add its output and a few
+    bands; forward plus backward may add the output and its gradient (two
+    output sizes), and the input gradients up to three times over (the
+    summed result, a cast or crop, and ``accumulate_grad``'s copy). At
+    320x480 one unbanded column buffer alone is 354 MB (conv) or 177 MB
+    (deformable).
+    """
+
+    @staticmethod
+    def _check(tensors, op):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = op(*tensors)
+            forward = tracemalloc.get_traced_memory()[1] - base
+            T.tensor_sum(y).backward()
+            total = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out = y.data.nbytes
+        grads = sum(t.data.nbytes for t in tensors)
+        assert forward <= out + 2 * T._BAND_BYTES
+        assert total <= 2 * out + 3 * grads + 8 * T._BAND_BYTES
+
+    def test_conv2d(self, rng):
+        arrays = (rng.standard_normal((1, 64, 320, 480), dtype=np.float32),
+                  rng.standard_normal((64, 64, 3, 3), dtype=np.float32),
+                  np.zeros((1, 64, 1, 1), np.float32))
+        self._check([Tensor(a, requires_grad=True) for a in arrays],
+                    lambda x, w, b: T.conv2d(x, w, b, padding=(1, 1)))
+
+    def test_modulated_deform_conv2d(self, rng):
+        arrays = (rng.standard_normal((1, 32, 320, 480), dtype=np.float32),
+                  rng.standard_normal((32, 32, 3, 3), dtype=np.float32),
+                  np.zeros((1, 32, 1, 1), np.float32),
+                  rng.uniform(-1.5, 1.5, (1, 18, 320, 480)).astype(np.float32),
+                  rng.uniform(0.0, 1.0, (1, 9, 320, 480)).astype(np.float32))
+        self._check([Tensor(a, requires_grad=True) for a in arrays],
+                    lambda *t: modulated_deform_conv2d(*t, (1, 1)))
 
 
 class TestPointwise:
