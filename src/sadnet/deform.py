@@ -1,45 +1,36 @@
-"""Modulated deformable convolution with differentiable bilinear sampling.
+"""Modulated deformable convolution (DCNv2, Zhu et al. 2019, arXiv:1811.11168).
 
-The layer samples the input at learned fractional positions (one 2-vector
-offset per kernel tap per output pixel), scales each sampled value by a
-learned modulation scalar in [0, 1], then applies the standard kernel
-weights. Sampling outside the image contributes 0 (zero-padding rule);
-sampling points are never moved into the image.
+Each output pixel samples the input bilinearly at one learned fractional
+offset per kernel tap, scales each sample by a learned modulation in
+[0, 1], and applies the kernel weights, in column (im2col) form.
 
-This is the column form of DCNv2 (Zhu et al. 2019, arXiv:1811.11168): per
-kernel tap, one gather fetches the four bilinear corners of every sampling
-point, and their blend times the modulation fills that tap's rows of a
-``tensor._im2col``-layout column buffer; one GEMM gives the output, and the
-columns are dropped. Backward keeps nothing from forward: per tap it
-recomputes the coordinates and regathers the corners, which refill the
-columns for the weight gradient, bit-identical to the forward's.
-Per tap, one channel contraction of the column gradient with the regathered
-corners gives the mask and offset gradients (the modulation does not depend
-on the channel, so it factors out of that sum). The input gradient is
-scatter-added after the tap loop, one ``np.bincount`` per band, image and
-channel over all taps and corners. Backward computes in the layer's dtype
-whatever the dtype of the incoming gradient.
+Layout: channels last, in the row bands of ``tensor._bands``; all a band
+builds counts in its row bytes. One pass per band gives each tap's corner
+table: the flat index of the upper-left corner in the input zero-padded by
+2, and the fractions fy, fx. The window copies only the padded rows the
+corners touch, channels last, images stacked. Per tap, one ``np.take``
+fetches all 4 corners (4, nb, L, c) and one einsum blends them into the
+tap's slot of (nb, L, K, c) columns; one GEMM with the weight as
+(o, kh, kw, c) gives the output. Backward rebuilds the columns for the
+weight gradient; a batched GEMM gives the tap-major column gradient, whose
+channel contraction with the corners, p (4, nb, L), gives the mask and
+offset gradients through the closed-form bilinear derivatives. A second
+GEMM gives the channel-first column gradient for the input gradient: one
+``np.bincount`` per channel and corner over the band, into channel-major
+float64 bins, cast to the layer dtype at the end.
 
-Forward and backward run in the row bands of ``tensor._bands``: one band's
-columns, column gradient and (n, K, 4, L) corner tables are all that is
-built at a time. Offsets can move a sample anywhere in the image, so each
-band scatters into float64 bins for the whole input gradient (only between
-the band's lowest and highest corner index), summed across bands and cast
-to the layer dtype once at the end.
+Padding rule: samples outside the image read 0; points never move into it.
+Coordinates are clamped to [-2, h] x [-2, w] before ``floor()``, so every
+corner lies in the padded input; beyond those bounds all four corners are
+outside the image (weight and derivative 0): no finite result changes, and
+NaN, inf and huge offsets sample zeros. At exact integer coordinates the
+gradient is the one-sided derivative from the upper cell (floor()
+anchoring); gradient checks must perturb offsets away from integers.
 
-Sampling coordinates are clamped to [-2, h] (rows) and [-2, w] (columns)
-before ``floor()``. Beyond those bounds all four corners already lie outside
-the image, with weight 0 and derivative 0, so no finite result changes; NaN,
-inf and huge offsets sample zeros instead of casting an undefined value.
-
-Gradient convention at exact integer coordinates: the surrounding-4-pixel
-bilinear formula with floor() anchoring, i.e. the one-sided derivative from
-the upper cell. Gradient checks must perturb offsets away from integers.
-
-Determinism: bands run in a fixed order, taps in row-major order within a
-band, and each ``np.bincount`` adds its weights in a fixed order, in
-float64, before one cast to the input dtype, so identical inputs give
-bit-identical results.
+Determinism: bands, taps, channels and corners run in a fixed order and each
+bincount adds in float64 in a fixed order: identical inputs give identical
+bits. The GEMM sums in (tap, channel) order, not conv2d's (channel, tap), so
+zero offsets and unit masks match ``conv2d`` to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -47,64 +38,61 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _bands, _bias_grad, _node, _weight_grad
+from .tensor import Tensor, _bands, _bias_grad, _inside, _node, _weight_grad
+
+# Zero padding of the sampled input; the [-2, h] clamp keeps every corner in.
+_PAD = 2
 
 
-# Which corners sit one pixel further down / right; corner order is
-# (y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1).
-_NEXT_Y = np.array([False, False, True, True])[None, :, None]
-_NEXT_X = np.array([False, True, False, True])[None, :, None]
+def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):
+    """Corner table (base, fy, fx), each (K, nb, L), of output rows r0, ...;
+    the window; and shift (4, nb, 1), from a padded-input base index to its
+    corners (y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1) in it."""
+    nb, c, h, w = x.shape
+    _, k2, rows, ow = off.shape
+    wp = w + 2 * _PAD
+    ki, kj = np.divmod(np.arange(k2 // 2), kw)
+
+    def coord(field, grid, size):
+        # (K, nb, rows, ow) coordinates; fmax sends NaN to the lower bound,
+        # so floor() then casts to int safely
+        p = np.add(field.transpose(1, 0, 2, 3), grid.astype(field.dtype))
+        np.fmin(np.fmax(p, -_PAD, out=p), size, out=p)
+        p0 = np.floor(p)
+        p -= p0
+        return ((p0.astype(np.intp) + _PAD).reshape(len(ki), nb, -1),
+                p.astype(x.dtype, copy=False).reshape(len(ki), nb, -1))
+
+    iy, fy = coord(off[:, 0::2], np.arange(r0, r0 + rows)[:, None]
+                   - padding[0] + ki[:, None, None, None], h)
+    ix, fx = coord(off[:, 1::2], np.arange(ow) - padding[1]
+                   + kj[:, None, None, None], w)
+    iy *= wp
+    base = np.add(iy, ix, out=iy)
+    # padded rows [lo, hi) hold every corner of the band
+    lo, hi = int(base.min()) // wp, int(base.max()) // wp + 2
+    win = np.zeros((nb, hi - lo, wp, c), dtype=x.dtype)
+    src, at = _inside(lo, hi, _PAD, h)
+    win[:, at, _PAD:_PAD + w] = x[:, :, src].transpose(0, 2, 3, 1)
+    shift = (np.array([0, 1, wp, wp + 1])[:, None, None]
+             + ((np.arange(nb) * (hi - lo) - lo) * wp)[:, None])
+    return base, fy, fx, win.reshape(-1, c), shift
 
 
-def _tap_corners(offsets: np.ndarray, k: int, kw: int, padding, h: int, w: int,
-                 dtype, row0: int):
-    """The four bilinear corners of kernel tap k at every output pixel.
-
-    ``offsets`` holds output rows row0, row0 + 1, ... of the offset field.
-    Returns (idx, wts, wts_dy, wts_dx), each (n, 4, rows*ow): flat pixel
-    index clipped into the image; bilinear weight, 0 outside the image; and
-    the weight's derivatives along the sampling coordinates.
-    """
-    n, _, oh, ow = offsets.shape
-    ki, kj = divmod(k, kw)
-    py = (np.arange(row0, row0 + oh, dtype=dtype)[:, None] - padding[0] + ki
-          + offsets[:, 2 * k]).reshape(n, 1, -1)
-    px = (np.arange(ow, dtype=dtype) - padding[1] + kj
-          + offsets[:, 2 * k + 1]).reshape(n, 1, -1)
-    # fmax sends NaN to the lower bound; floor() then casts to int64 safely
-    py = np.fmin(np.fmax(py, -2), h)
-    px = np.fmin(np.fmax(px, -2), w)
-    y0, x0 = np.floor(py), np.floor(px)
-    fy, fx = py - y0, px - x0
-    iy = y0.astype(np.int64) + _NEXT_Y
-    ix = x0.astype(np.int64) + _NEXT_X
-    inb = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    idx = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
-    wy = np.where(_NEXT_Y, fy, 1 - fy) * inb
-    wx = np.where(_NEXT_X, fx, 1 - fx)
-    wts_dy = np.where(_NEXT_Y, wx, -wx) * inb
-    wts_dx = np.where(_NEXT_X, wy, -wy)
-    return idx, wy * wx, wts_dy, wts_dx
+def _reused(store: dict, key: str, shape, dtype) -> np.ndarray:
+    """store[key] viewed as shape, reallocated only when it is too small."""
+    size = int(np.prod(shape))
+    if key not in store or store[key].size < size:
+        store[key] = np.empty(size, dtype)
+    return store[key][:size].reshape(shape)
 
 
-def _gather(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Pixels (n, c, 4, L) of flat (n, c, h*w) at the corner indices idx.
-
-    One ``np.take`` per image with its 1-D index: several times faster than
-    a broadcast fancy index. ``idx`` is already clipped into the image, so
-    mode="clip" changes nothing and lets ``take`` write ``out`` unbuffered.
-    """
-    n, c = flat.shape[:2]
-    out = np.empty((n, c, *idx.shape[1:]), dtype=flat.dtype)
-    for i in range(n):
-        np.take(flat[i], idx[i].reshape(-1), axis=1,
-                out=out[i].reshape(c, -1), mode="clip")
-    return out
-
-
-def _blend(coef: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Sum over the 4 corners of coef (n, 4, L) times corners (n, c, 4, L)."""
-    return sum(coef[:, None, j] * corners[:, :, j] for j in range(4))
+def _corner_weights(fy: np.ndarray, fx: np.ndarray, m: np.ndarray):
+    """The 4 bilinear weights times the modulation, stacked in corner order."""
+    b = fy * m
+    a = m - b
+    ax, bx = a * fx, b * fx
+    return np.stack((a - ax, ax, b - bx, bx))
 
 
 def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -136,37 +124,50 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     dtype = x.data.dtype
     size = out_h * out_w
-    # one output row's deformable columns plus its backward corner tables
-    row_bytes = k_taps * out_w * (c * dtype.itemsize
-                                  + 4 * (8 + dtype.itemsize))
+    item = dtype.itemsize
+    # bytes per output row of one image: corner table, columns, window row,
+    # one tap's gather, index, weights and blend; backward adds the tap-major
+    # column gradient and p, or in the scatter the channel-first one and bins
+    fwd_row = (out_w * (k_taps * (8 + 2 * item + c * item)
+                        + 4 * (c * item + 8 + item) + c * item)
+               + (w + 2 * _PAD) * c * item)
+    bwd_row = max(fwd_row + out_w * (k_taps * c * item + 10 * item),
+                  out_w * k_taps * (8 + 2 * item + c * item + 16 + 5 * item))
 
-    def band_fields(images, r0, r1):
-        """Offsets, (nb, K, L) modulation and flat-pixel slice of a band."""
-        band = slice(r0 * out_w, r1 * out_w)
-        mod = masks.data[images].reshape(-1, k_taps, size)[:, :, band]
-        return offsets.data[images, :, r0:r1], mod, band
-
-    flat = x.data.reshape(n, c, h * w)
-    w2 = weight.data.reshape(o, -1)
-    y = np.empty((n, o, size), dtype=np.result_type(w2, dtype))
-    for images, r0, r1 in _bands(n, out_h, row_bytes):
-        off, mod, band = band_fields(images, r0, r1)
+    def band_columns(images, r0, r1, store, each_tap=None):
+        """(nb, L, K*c) columns, table and (nb, K, L) masks of a band;
+        ``each_tap(k, corners, fy, fx, m)`` runs after each tap's blend."""
+        mod = masks.data[images].reshape(-1, k_taps, size)[
+            :, :, r0 * out_w: r1 * out_w].astype(dtype, copy=False)
+        base, fy, fx, win, shift = _band_samples(
+            x.data[images], offsets.data[images, :, r0:r1], r0, kw, padding)
         nb, _, length = mod.shape
-        # deformable columns in tensor._im2col's layout
-        cols = np.empty((nb, c, k_taps, length), dtype=dtype)
+        cols = _reused(store, "cols", (nb, length, k_taps, c), dtype)
+        corners = _reused(store, "corners", (4, nb, length, c), dtype)
+        blend = _reused(store, "blend", (nb, length, c), dtype)
         for k in range(k_taps):
-            idx, wts, _, _ = _tap_corners(off, k, kw, padding, h, w, dtype, r0)
-            cols[:, :, k] = (_blend(wts, _gather(flat[images], idx))
-                             * mod[:, k, None])
-        np.matmul(w2, cols.reshape(nb, c * k_taps, length),
-                  out=y[images, :, band])
+            np.take(win, base[k] + shift, axis=0, out=corners, mode="clip")
+            # einsum into a strided slot runs at half speed: blend, then copy
+            np.einsum("jnlc,jnl->nlc", corners,
+                      _corner_weights(fy[k], fx[k], mod[:, k]), out=blend)
+            cols[:, :, k] = blend
+            if each_tap is not None:
+                each_tap(k, corners, fy[k], fx[k], mod[:, k])
+        return cols.reshape(nb, length, k_taps * c), (base, fy, fx, mod)
+
+    # the weight as (o, K*c), matching the columns' channels-last order
+    w_cl = weight.data.transpose(0, 2, 3, 1).reshape(o, -1)
+    y = np.empty((n, o, size), dtype=np.result_type(w_cl, dtype))
+    store = {}  # the bands share buffers, so their pages fault in once
+    for images, r0, r1 in _bands(n, out_h, fwd_row):
+        cols, _ = band_columns(images, r0, r1, store)
+        np.matmul(w_cl, cols.transpose(0, 2, 1),
+                  out=y[images, :, r0 * out_w: r1 * out_w])
     y = y.reshape(n, o, out_h, out_w)
     if bias is not None:
         y += bias.data
 
-    prev = [x, weight, offsets, masks]
-    if bias is not None:
-        prev.append(bias)
+    prev = (x, weight, offsets, masks) + (() if bias is None else (bias,))
 
     def make_backward(out: Tensor):
         def _backward():
@@ -176,58 +177,57 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(grad))
             gy = grad.reshape(n, o, size)
-            # x, offsets and masks are unchanged since forward (op inputs
-            # are never mutated in place), so the refilled columns equal
-            # the forward's bit for bit
-            flat = x.data.reshape(n, c, h * w)
-            w2 = weight.data.reshape(o, -1)
+            # op inputs are never mutated in place, so the rebuilt columns
+            # equal the forward's bit for bit
+            w_taps = weight.data.transpose(2, 3, 0, 1).reshape(k_taps, o, c)
             g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
             g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
-            gw = np.zeros(w2.shape, dtype=dtype)
-            # float64 bins for the whole input, summed over bands in order
-            gx = np.zeros((n, c, h * w))
-            for images, r0, r1 in _bands(n, out_h, row_bytes):
-                off, mod, band = band_fields(images, r0, r1)
-                nb, _, length = mod.shape
+            gw = np.zeros((o, k_taps * c), dtype=dtype)
+            hp, wp = h + 2 * _PAD, w + 2 * _PAD
+            corner = np.array([0, 1, wp, wp + 1])
+            # float64 bins, channel-major: a band's images are one run
+            gx = np.zeros((c, n * hp * wp))
+            for images, r0, r1 in _bands(n, out_h, bwd_row):
+                band = slice(r0 * out_w, r1 * out_w)
                 gyb = gy[images, :, band]
-                gcols = (w2.T @ gyb).reshape(nb, c, k_taps, length)
-                cols = np.empty((nb, c, k_taps, length), dtype=dtype)
-                idx_all = np.empty((nb, k_taps, 4, length), dtype=np.int64)
-                wts_all = np.empty((nb, k_taps, 4, length), dtype=dtype)
-                for k in range(k_taps):
-                    idx, wts, wts_dy, wts_dx = _tap_corners(
-                        off, k, kw, padding, h, w, dtype, r0)
-                    idx_all[:, k], wts_all[:, k] = idx, wts
-                    # per-corner channel sum of column gradient times
-                    # sample; the modulation is channel-independent, so it
-                    # factors out
-                    v = _gather(flat[images], idx)
-                    cols[:, :, k] = _blend(wts, v) * mod[:, k, None]
-                    p = np.einsum("ncjl,ncl->njl", v, gcols[:, :, k])
-                    g_mask[images, k, band] = (wts * p).sum(axis=1)
-                    g_off[images, 2 * k, band] = (
-                        mod[:, k] * (wts_dy * p).sum(axis=1))
-                    g_off[images, 2 * k + 1, band] = (
-                        mod[:, k] * (wts_dx * p).sum(axis=1))
-                if weight.requires_grad:
-                    gw += _weight_grad(
-                        gyb, cols.reshape(nb, c * k_taps, length))
+                # tap-major, channels-last column gradient (K, nb, L, c)
+                g_cl = np.matmul(gyb.transpose(0, 2, 1)[None],
+                                 w_taps[:, None])
+
+                def each_tap(k, corners, fy, fx, m):
+                    # per-corner channel sum of column gradient times sample
+                    p = np.einsum("jnlc,nlc->jnl", corners, g_cl[k])
+                    d0, d1 = p[1] - p[0], p[3] - p[2]
+                    q0, q1 = p[0] + fx * d0, p[2] + fx * d1
+                    g_mask[images, k, band] = q0 + fy * (q1 - q0)
+                    g_off[images, 2 * k, band] = m * (q1 - q0)
+                    g_off[images, 2 * k + 1, band] = m * (d0 + fy * (d1 - d0))
+
+                cols, (base, fy, fx, mod) = band_columns(images, r0, r1, {},
+                                                         each_tap)
+                del g_cl
+                gw += _weight_grad(gyb, cols.transpose(0, 2, 1))
                 del cols
-                gcols *= mod[:, None]
-                # one bincount per image and channel over the band's taps,
-                # into the bins between its lowest and highest corner
-                for j, i in enumerate(range(n)[images]):
-                    lo = int(idx_all[j].min())
-                    bins = (idx_all[j] - lo).ravel()
-                    for ch in range(c):
-                        part = np.bincount(bins, weights=(
-                            gcols[j, ch][:, None] * wts_all[j]).ravel())
-                        gx[i, ch, lo: lo + len(part)] += part
-            if weight.requires_grad:
-                weight.accumulate_grad(gw.reshape(weight.shape))
+                # channel-first column gradient, viewed as (c, K, nb, L)
+                g_cf = (weight.data.reshape(o, -1).T @ gyb).reshape(
+                    -1, c, k_taps, gyb.shape[2]).transpose(1, 2, 0, 3)
+                base += (np.arange(n)[images] * hp * wp)[:, None]
+                lo = int(base.min())  # bins start at the lowest corner
+                bins = (base - lo).ravel()
+                wts = _corner_weights(fy, fx, mod.transpose(1, 0, 2))
+                prod = np.empty(base.shape, dtype=dtype)
+                for ch in range(c):
+                    for wt, at in zip(wts, lo + corner):
+                        np.multiply(wt, g_cf[ch], out=prod)
+                        part = np.bincount(bins, weights=prod.ravel())
+                        gx[ch, at: at + len(part)] += part
+            weight.accumulate_grad(np.ascontiguousarray(
+                gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)))
             masks.accumulate_grad(g_mask.reshape(masks.shape))
             offsets.accumulate_grad(g_off.reshape(offsets.shape))
-            x.accumulate_grad(gx.astype(dtype).reshape(x.shape))
+            x.accumulate_grad(gx.reshape(c, n, hp, wp)[
+                :, :, _PAD:_PAD + h, _PAD:_PAD + w].transpose(1, 0, 2, 3)
+                .astype(dtype, order="C"))
         return _backward
 
-    return _node(y, tuple(prev), make_backward)
+    return _node(y, prev, make_backward)

@@ -44,7 +44,10 @@ in the last bits from an unbanded sum. Splitting the GEMM's columns into
 bands leaves each output element's dot product alone, but OpenBLAS may
 round a narrow column block otherwise than the same columns inside a wide
 one; forwards of the stock model at 160x240 and 320x480 matched the
-unbanded ones bit for bit.
+unbanded ones bit for bit. The deformable conv's channels-last GEMM sums a
+pixel's products in (tap, channel) order, ``conv2d``'s in (channel, tap)
+order, so with zero offsets and unit masks the two (acceptance criterion 1)
+may differ by rounding instead of exactly 0, but stay within 1e-6.
 """
 
 from __future__ import annotations
@@ -91,10 +94,16 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g to ``grad``; the first g is stored as it is, not copied.
+
+        A caller must hand over an array that nothing else writes to: a fresh
+        result, or a view no other tensor's grad shares (``add`` gives its
+        second input a copy; ``concat_channels``' split views are disjoint).
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad += g
 
@@ -197,10 +206,11 @@ def _col2im(cols: np.ndarray, shape, kh: int, kw: int, out_h: int, out_w: int,
 # Most bytes one band's columns may take. Convolutions build their columns,
 # run their GEMMs and scatter their column gradients band by band, so what
 # one op allocates stays near this size whatever the image size. 16 MiB
-# keeps every layer of a batch-4, patch-64 training step in one band (the
-# largest, a 4x8x64x64 deformable conv, takes 11.8 MB), so small arrays
-# pay no per-band overhead, while a 320x480 stock denoise peaks at less than
-# half of what whole-image columns take.
+# keeps every deformable conv of a batch-4, patch-64 training step in one
+# band (the largest, the backward of a 4x8x64x64 one, counts 16.4 MB of
+# columns, gradients and tables), so small arrays pay no per-band overhead;
+# only the 35-channel scale-0 offset conv (20.6 MB) takes two. A 320x480
+# stock denoise peaks at less than half of what whole-image columns take.
 _BAND_BYTES = 16 << 20
 
 
@@ -414,7 +424,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def make_backward(out: Tensor):
         def _backward():
             a.accumulate_grad(out.grad)
-            b.accumulate_grad(out.grad)
+            # a copy, so the two grads never alias (add(x, x) included)
+            b.accumulate_grad(out.grad.copy())
         return _backward
 
     return _node(y, (a, b), make_backward)

@@ -207,12 +207,13 @@ def _conv_case(rng, stride, dilation, padding):
     return op, (x, w, b)
 
 
-def _deform_case(rng):
-    # offsets up to 3 pixels reach across band boundaries
+def _deform_case(rng, reach=3.0):
+    # offsets up to 3 pixels reach across band boundaries; up to the image
+    # height, every band's window is the whole image
     x = rng.standard_normal((2, 6, 23, 17))
     w = rng.standard_normal((5, 6, 3, 3))
     b = rng.standard_normal((1, 5, 1, 1))
-    off = rng.uniform(-3.0, 3.0, (2, 18, 23, 17))
+    off = rng.uniform(-reach, reach, (2, 18, 23, 17))
     masks = rng.uniform(0.0, 1.0, (2, 9, 23, 17))
 
     def op(*tensors):
@@ -279,6 +280,27 @@ class TestBands:
     def test_modulated_deform_conv2d(self, monkeypatch, rng, dtype):
         self._check(monkeypatch, rng, dtype, *_deform_case(rng))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_modulated_deform_conv2d_whole_image_reach(self, monkeypatch, rng,
+                                                       dtype):
+        self._check(monkeypatch, rng, dtype, *_deform_case(rng, 23.0))
+
+    @pytest.mark.parametrize("c,size", [(8, 64), (16, 32), (32, 16), (64, 8)])
+    def test_smoke_deform_layers_take_one_band(self, monkeypatch, rng, c,
+                                               size):
+        # the acceptance smoke config's deformable convs (batch 4) pay no
+        # per-band overhead in forward or backward
+        arrays = (rng.standard_normal((4, c, size, size)),
+                  rng.standard_normal((c, c, 3, 3)),
+                  np.zeros((1, c, 1, 1)),
+                  rng.uniform(-1.5, 1.5, (4, 18, size, size)),
+                  rng.uniform(0.0, 1.0, (4, 9, size, size)))
+        gy = rng.standard_normal((4, c, size, size)).astype(np.float32)
+        _, _, bands = _run_banded(
+            monkeypatch, T._BAND_BYTES,
+            lambda *t: modulated_deform_conv2d(*t, (1, 1)), arrays, gy)
+        assert bands == [(slice(0, 4), 0, size)] * 2
+
 
 class TestBoundedTransients:
     """What one large op allocates stays near the band budget.
@@ -286,7 +308,7 @@ class TestBoundedTransients:
     Inputs are made before tracing. Forward may add its output and a few
     bands; forward plus backward may add the output and its gradient (two
     output sizes), and the input gradients up to three times over (the
-    summed result, a cast or crop, and ``accumulate_grad``'s copy). At
+    deformable conv sums in float64, twice the size, then casts). At
     320x480 one unbanded column buffer alone is 354 MB (conv) or 177 MB
     (deformable).
     """
@@ -315,6 +337,23 @@ class TestBoundedTransients:
         self._check([Tensor(a, requires_grad=True) for a in arrays],
                     lambda x, w, b: T.conv2d(x, w, b, padding=(1, 1)))
 
+    def test_input_gradient_is_not_copied(self, rng):
+        # the output, its gradient and the input gradient are three
+        # image-size arrays; a copy of the input gradient would be a fourth
+        x = Tensor(rng.standard_normal((1, 64, 320, 480), dtype=np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 64, 3, 3), dtype=np.float32),
+                   requires_grad=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            T.tensor_sum(T.conv2d(x, w, padding=(1, 1))).backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.data.nbytes
+
     def test_modulated_deform_conv2d(self, rng):
         arrays = (rng.standard_normal((1, 32, 320, 480), dtype=np.float32),
                   rng.standard_normal((32, 32, 3, 3), dtype=np.float32),
@@ -326,6 +365,25 @@ class TestBoundedTransients:
 
 
 class TestPointwise:
+    def test_add_gives_independent_grads(self, rng):
+        # a collects a second gradient after add's; b must not see it
+        for first_add in (True, False):
+            a = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
+            b = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
+            terms = [T.add(a, b), T.mul(a, a)]
+            if not first_add:
+                terms.reverse()
+            T.tensor_sum(T.add(*terms)).backward()
+            np.testing.assert_allclose(a.grad, 1 + 2 * a.data)
+            np.testing.assert_array_equal(b.grad, np.ones_like(b.data))
+            assert not np.shares_memory(a.grad, b.grad)
+
+    def test_add_to_itself(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
+        w = rng.standard_normal((1, 2, 3, 3))
+        T.tensor_sum(T.mul(T.add(x, x), Tensor(w))).backward()
+        np.testing.assert_allclose(x.grad, 2 * w)
+
     def test_leaky_relu_definition(self):
         x = Tensor(np.array(-1.0).reshape(1, 1, 1, 1))
         assert T.leaky_relu(x, 0.2).item() == pytest.approx(-0.2)
