@@ -104,8 +104,11 @@ def run_ops_suite(max_elements: int = 6) -> list[CheckResult]:
     rng = np.random.default_rng(1234)
     results = []
 
-    # conv2d, plain and strided/dilated
-    for tag, stride, dilation, padding in (("s1d1p1", 1, 1, 1), ("s2d2p2", 2, 2, 2)):
+    # conv2d: plain, strided/dilated, and stride 1 with an output smaller
+    # (s1d2p1) and larger (s1d1p3) than its input
+    for tag, stride, dilation, padding in (
+            ("s1d1p1", 1, 1, 1), ("s2d2p2", 2, 2, 2), ("s1d2p1", 1, 2, 1),
+            ("s1d1p3", 1, 1, 3)):
         x = _rand(rng, (2, 3, 6, 6))
         w = _rand(rng, (4, 3, 3, 3))
         b = _rand(rng, (1, 4, 1, 1))

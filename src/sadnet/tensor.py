@@ -12,23 +12,34 @@ freed during the sweep instead of waiting for the cyclic collector. Leaves
 (parameters, inputs) keep their ``grad``. A second ``backward()`` on the same
 graph is unsupported; build the graph again instead.
 
-Convolutions share one column-GEMM core: ``_im2col`` lays a padded input
-out as (n, c*kh*kw, oh*ow) columns, ``_col2im`` is its adjoint, and every
-product is a batched matmul with the (out_c, in_c*kh*kw) weight matrix.
-A convolution keeps no columns from forward to backward: its backward pads
-its input again and rebuilds them for the weight gradient, trading one copy
-for memory (Chen et al. 2016, arXiv:1604.06174). That relies on the
-``Tensor`` convention that ``data`` is never mutated in place while a graph
-uses it. So a training step holds only the graph's own tensors.
+Convolutions share one column-GEMM core: ``_im2col`` lays a window of an
+input out as (n, c*kh*kw, oh*ow) columns, reading zeros wherever the window
+leaves the input (so zero padding needs no padded copy), ``_col2im`` is its
+adjoint, and every product is a batched matmul with the (out_c,
+in_c*kh*kw) weight matrix. A convolution keeps no columns from forward to
+backward (Chen et al. 2016, arXiv:1604.06174). A stride-1 ``conv2d``
+backward builds one set of columns from its output gradient instead: the
+input gradient of a stride-1 convolution is the stride-1 convolution of the
+output gradient, zero-extended by d*(k-1) - p per side (cropped where that
+is negative), with the kernel flipped and its channel axes swapped
+(Dumoulin & Visin 2016, arXiv:1603.07285). One GEMM writes the input
+gradient's rows; the same columns against the input give the weight
+gradient with flipped taps. A strided ``conv2d`` backward rebuilds the
+input's columns for the weight gradient and scatters the column gradient
+with ``_col2im``. Both rely on the ``Tensor`` convention that ``data`` is
+never mutated in place while a graph uses it. So a training step holds
+only the graph's own tensors.
 
-``conv2d`` and the deformable conv work in bands of output rows (``_bands``):
-pad, im2col and GEMM in forward, and the column rebuild, weight gradient and
-column-gradient scatter in backward, run one band at a time, and each band's
-columns fit in ``_BAND_BYTES`` (16 MiB; at least one output row of one
-image). So what one op allocates beyond its inputs, output and gradients does
-not grow with the image. Whole images share a band while they fit, which
-leaves small layers in one band. ``conv2d_transpose`` is not banded: its
-2x2 stride-2 columns are the size of its output.
+``conv2d`` and the deformable conv work in bands of rows (``_bands``): im2col
+and GEMM in forward, and the columns, weight gradient and input gradient in
+backward, run one band at a time, and each band's columns fit in
+``_BAND_BYTES`` (16 MiB; at least one row of one image). Forward bands
+split output rows; a stride-1 ``conv2d`` backward's bands split input rows,
+and its columns count o*kh*kw per input pixel. So what one op allocates
+beyond its inputs, output and gradients does not grow with the image. Whole
+images share a band while they fit, which leaves small layers in one band.
+``conv2d_transpose`` is not banded: its 2x2 stride-2 columns are the size of
+its output.
 
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
@@ -38,9 +49,10 @@ Determinism: all forward and backward computations are plain sequential
 numpy expressions; the reduction order is fixed (GEMM over the columns,
 kernel positions in row-major order, bands from the first image and row to
 the last), so two runs on identical inputs produce bit-identical results.
-Weight-gradient partials and the overlapping halo rows of the input
-gradient are summed band by band in that order, so a gradient may differ
-in the last bits from an unbanded sum. Splitting the GEMM's columns into
+Weight-gradient partials are summed band by band in that order, so a
+gradient may differ in the last bits from an unbanded sum. A stride-1
+``conv2d`` writes each input-gradient row once; only strided convs sum the
+overlapping halo rows of their bands. Splitting the GEMM's columns into
 bands leaves each output element's dot product alone, but OpenBLAS may
 round a narrow column block otherwise than the same columns inside a wide
 one; forwards of the stock model at 160x240 and 320x480 matched the
@@ -179,22 +191,56 @@ def _windows(kh: int, kw: int, out_h: int, out_w: int, stride, dilation):
                 slice(kj * dw, kj * dw + sw * (out_w - 1) + 1, sw))
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
-            stride, dilation) -> np.ndarray:
-    """Columns (n, c*kh*kw, out_h*out_w) of a padded input, ready for a GEMM.
+def _span(start: int, step: int, count: int, size: int) -> tuple[int, int]:
+    """The outputs [i0, i1) of ``count`` whose index start + i*step lies in
+    [0, size)."""
+    i0 = min(count, max(0, -(start // step)))
+    return i0, max(i0, min(count, (size - 1 - start) // step + 1))
 
-    Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``.
+
+def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
+            stride, dilation, origin=(0, 0)) -> np.ndarray:
+    """Columns (n, c*kh*kw, out_h*out_w) of a window of a, ready for a GEMM.
+
+    Output pixel (i, j) of tap (ki, kj) reads a[:, :, r + ki*dh + i*sh,
+    q + kj*dw + j*sw] with (r, q) = ``origin``, and 0 wherever that falls
+    outside a: the window may start before a (a negative origin pads it
+    with zeros) and end before or after it, with no padded copy of a.
+    Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``. The columns of
+    a 1x1 stride-1 kernel over whole rows of a are a view of a.
     """
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=xp.dtype)
-    for tap, idx in _windows(kh, kw, out_h, out_w, stride, dilation):
-        cols[:, :, tap] = xp[idx]
+    n, c, h, w = a.shape
+    (sh, sw), (dh, dw) = stride, dilation
+    r0, q0 = origin
+    if ((kh, kw, sh, sw, q0, out_w) == (1, 1, 1, 1, 0, w)
+            and 0 <= r0 <= h - out_h):
+        return a[:, :, r0: r0 + out_h].reshape(n, c, out_h * w)
+    cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=a.dtype)
+    for ki in range(kh):
+        r = r0 + ki * dh
+        i0, i1 = _span(r, sh, out_h, h)
+        for kj in range(kw):
+            q = q0 + kj * dw
+            j0, j1 = _span(q, sw, out_w, w)
+            col = cols[:, :, ki * kw + kj]
+            # zero the margins the window reads outside a, then copy the rest
+            if i0 or i1 < out_h:
+                col[:, :, :i0] = 0
+                col[:, :, i1:] = 0
+            if j0 or j1 < out_w:
+                col[:, :, i0:i1, :j0] = 0
+                col[:, :, i0:i1, j1:] = 0
+            if i0 < i1 and j0 < j1:
+                col[:, :, i0:i1, j0:j1] = a[
+                    :, :, r + i0 * sh: r + (i1 - 1) * sh + 1: sh,
+                    q + j0 * sw: q + (j1 - 1) * sw + 1: sw]
     return cols.reshape(n, c * kh * kw, out_h * out_w)
 
 
 def _col2im(cols: np.ndarray, shape, kh: int, kw: int, out_h: int, out_w: int,
             stride, dilation) -> np.ndarray:
-    """Adjoint of ``_im2col``: sum columns back into a padded array of ``shape``."""
+    """Sum columns back into a padded array of ``shape``: the adjoint of
+    ``_im2col`` at origin (0, 0)."""
     n, c = shape[:2]
     cols = cols.reshape(n, c, kh * kw, out_h, out_w)
     out = np.zeros(shape, dtype=cols.dtype)
@@ -208,28 +254,32 @@ def _col2im(cols: np.ndarray, shape, kh: int, kw: int, out_h: int, out_w: int,
 # one op allocates stays near this size whatever the image size. 16 MiB
 # keeps every deformable conv of a batch-4, patch-64 training step in one
 # band (the largest, the backward of a 4x8x64x64 one, counts 16.4 MB of
-# columns, gradients and tables), so small arrays pay no per-band overhead;
-# only the 35-channel scale-0 offset conv (20.6 MB) takes two. A 320x480
-# stock denoise peaks at less than half of what whole-image columns take.
+# columns, gradients and tables), so small arrays pay no per-band overhead.
+# Every stride-1 conv2d backward of that step takes one band too (the
+# largest, the 35->27 scale-0 offset head, builds 15.9 MB of output-gradient
+# columns); only that head's forward (20.6 MB of input columns) takes two.
+# A 320x480 stock denoise peaks at less than half of what whole-image
+# columns take.
 _BAND_BYTES = 16 << 20
 
 
-def _bands(n: int, out_h: int, row_bytes: int):
-    """Yield (images, r0, r1) bands of output rows in a fixed order.
+def _bands(n: int, rows: int, row_bytes: int):
+    """Yield (images, r0, r1) bands of ``rows`` rows per image in a fixed
+    order.
 
-    ``row_bytes`` is what one output row of one image costs. Whole images
-    are grouped while they fit in ``_BAND_BYTES``; a larger image is cut
-    into bands of rows, image by image (at least one row per band).
+    ``row_bytes`` is what one row of one image costs. Whole images are
+    grouped while they fit in ``_BAND_BYTES``; a larger image is cut into
+    bands of rows, image by image (at least one row per band).
     """
-    rows = max(1, _BAND_BYTES // row_bytes)
-    if rows >= out_h:
-        step = rows // out_h
+    per_band = max(1, _BAND_BYTES // row_bytes)
+    if per_band >= rows:
+        step = per_band // rows
         for i in range(0, n, step):
-            yield slice(i, min(n, i + step)), 0, out_h
+            yield slice(i, min(n, i + step)), 0, rows
     else:
         for i in range(n):
-            for r0 in range(0, out_h, rows):
-                yield slice(i, i + 1), r0, min(out_h, r0 + rows)
+            for r0 in range(0, rows, per_band):
+                yield slice(i, i + 1), r0, min(rows, r0 + per_band)
 
 
 def _band_rows(r0: int, r1: int, kh: int, stride, dilation) -> tuple[int, int]:
@@ -242,17 +292,6 @@ def _inside(p0: int, p1: int, ph: int, h: int) -> tuple[slice, slice]:
     lo = max(p0 - ph, 0)
     hi = max(min(p1 - ph, h), lo)
     return slice(lo, hi), slice(lo - p0 + ph, hi - p0 + ph)
-
-
-def _padded_rows(x: np.ndarray, images: slice, p0: int, p1: int,
-                 padding) -> np.ndarray:
-    """Rows [p0, p1) of the zero-padded x[images]."""
-    ph, pw = padding
-    n, c, h, w = x[images].shape
-    xp = np.zeros((n, c, p1 - p0, w + 2 * pw), dtype=x.dtype)
-    rows, at = _inside(p0, p1, ph, h)
-    xp[:, :, at, pw: pw + w] = x[images, :, rows]
-    return xp
 
 
 def _weight_grad(gy: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -290,11 +329,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
     row_bytes = c * kh * kw * out_w * x.data.itemsize
+    dh, dw = dilation
 
     def band_cols(images, r0, r1):
-        p0, p1 = _band_rows(r0, r1, kh, stride, dilation)
-        return _im2col(_padded_rows(x.data, images, p0, p1, padding),
-                       kh, kw, r1 - r0, out_w, stride, dilation)
+        return _im2col(x.data[images], kh, kw, r1 - r0, out_w, stride,
+                       dilation, (r0 * stride[0] - ph, -pw))
 
     w2 = weight.data.reshape(o, -1)
     y = np.empty((n, o, out_h * out_w), dtype=np.result_type(w2, x.data))
@@ -307,34 +346,74 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     prev = (x, weight) if bias is None else (x, weight, bias)
 
+    def backward_stride1(gy):
+        """Both gradients from one im2col of gy per band of input rows.
+
+        gx is the stride-1 conv of gy, zero-extended by d*(k-1) - p per
+        side (cropped where that is negative), with the flipped kernel's
+        channel axes swapped; the same columns against x give the weight
+        gradient with its taps flipped.
+        """
+        origin = (ph - dh * (kh - 1), pw - dw * (kw - 1))
+        wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        gx = (np.empty((n, c, h * w), np.result_type(wf, gy))
+              if x.requires_grad else None)
+        gwf = (np.zeros((o * kh * kw, c), np.result_type(gy, x.data))
+               if weight.requires_grad else None)
+        x2 = x.data.reshape(n, c, h * w)
+        # the band's gx rows are written once; the weight partials add up
+        # band by band in a fixed order
+        for images, r0, r1 in _bands(n, h, o * kh * kw * w * gy.itemsize):
+            cols = _im2col(gy[images], kh, kw, r1 - r0, w, (1, 1), dilation,
+                           (origin[0] + r0, origin[1]))
+            band = slice(r0 * w, r1 * w)
+            if gx is not None:
+                np.matmul(wf, cols, out=gx[images, :, band])
+            if gwf is not None:
+                gwf += _weight_grad(cols, x2[images, :, band])
+        if gx is not None:
+            gx = gx.reshape(x.shape)
+        if gwf is not None:
+            gwf = np.ascontiguousarray(
+                gwf.reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+        return gx, gwf
+
+    def backward_strided(gy):
+        """Rebuilt input columns for the weight gradient; column gradients
+        scattered back by ``_col2im``, halo rows summed band by band."""
+        gy2 = gy.reshape(n, o, -1)
+        w2 = weight.data.reshape(o, -1)
+        gw = (np.zeros(weight.shape, np.result_type(gy, x.data))
+              if weight.requires_grad else None)
+        gx = (np.zeros(x.shape, np.result_type(w2, gy))
+              if x.requires_grad else None)
+        # bands run in a fixed order, so the weight-gradient partials and
+        # the overlapping halo rows of gx add up the same every run
+        for images, r0, r1 in _bands(n, out_h, row_bytes):
+            gyb = gy2[images, :, r0 * out_w: r1 * out_w]
+            if gw is not None:
+                # columns are rebuilt, not kept: x.data is unchanged since
+                # forward because op inputs are never mutated
+                gw += _weight_grad(gyb, band_cols(images, r0, r1)).reshape(
+                    weight.shape)
+            if gx is not None:
+                p0, p1 = _band_rows(r0, r1, kh, stride, dilation)
+                gxp = _col2im(w2.T @ gyb,
+                              (gyb.shape[0], c, p1 - p0, w + 2 * pw),
+                              kh, kw, r1 - r0, out_w, stride, dilation)
+                rows, at = _inside(p0, p1, ph, h)
+                gx[images, :, rows] += gxp[:, :, at, pw: pw + w]
+        return gx, gw
+
     def make_backward(out: Tensor):
         def _backward():
             gy = out.grad
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(gy))
-            gy2 = gy.reshape(n, o, -1)
-            w2 = weight.data.reshape(o, -1)
-            gw = (np.zeros(w2.shape, np.result_type(gy, x.data))
-                  if weight.requires_grad else None)
-            gx = (np.zeros(x.shape, np.result_type(w2, gy))
-                  if x.requires_grad else None)
-            # bands run in a fixed order, so the weight-gradient partials
-            # and the overlapping halo rows of gx add up the same every run
-            for images, r0, r1 in _bands(n, out_h, row_bytes):
-                gyb = gy2[images, :, r0 * out_w: r1 * out_w]
-                if gw is not None:
-                    # columns are rebuilt, not kept: x.data is unchanged
-                    # since forward because op inputs are never mutated
-                    gw += _weight_grad(gyb, band_cols(images, r0, r1))
-                if gx is not None:
-                    p0, p1 = _band_rows(r0, r1, kh, stride, dilation)
-                    gxp = _col2im(w2.T @ gyb,
-                                  (gyb.shape[0], c, p1 - p0, w + 2 * pw),
-                                  kh, kw, r1 - r0, out_w, stride, dilation)
-                    rows, at = _inside(p0, p1, ph, h)
-                    gx[images, :, rows] += gxp[:, :, at, pw: pw + w]
+            gx, gw = (backward_stride1 if tuple(stride) == (1, 1)
+                      else backward_strided)(gy)
             if gw is not None:
-                weight.accumulate_grad(gw.reshape(weight.shape))
+                weight.accumulate_grad(gw)
             if gx is not None:
                 x.accumulate_grad(gx)
         return _backward

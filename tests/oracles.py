@@ -53,6 +53,41 @@ def conv2d_reference(x, w, b=None, stride=(1, 1), dilation=(1, 1), padding=(0, 0
     return y
 
 
+def conv2d_vjp_reference(x, w, gy, stride=(1, 1), dilation=(1, 1),
+                         padding=(0, 0)):
+    """Gradients of sum(gy * conv2d(x, w, b)) by x, w and b.
+
+    Scalar loops over the definition: output (oy, ox) of channel oi reads
+    x[ci, oy*sh - ph + ki*dh, ox*sw - pw + kj*dw] through w[oi, ci, ki, kj]
+    wherever that pixel is inside x, so it sends gy * w to gx and gy * x to
+    gw. Returns (gx, gw, gb) in float64.
+    """
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    sh, sw = stride
+    dh, dw = dilation
+    ph, pw = padding
+    _, _, out_h, out_w = gy.shape
+    gx = np.zeros(x.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    gb = np.zeros((1, o, 1, 1), dtype=np.float64)
+    for ni in range(n):
+        for oi in range(o):
+            for oy in range(out_h):
+                for ox in range(out_w):
+                    g = float(gy[ni, oi, oy, ox])
+                    gb[0, oi, 0, 0] += g
+                    for ci in range(c):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                iy = oy * sh - ph + ki * dh
+                                ix = ox * sw - pw + kj * dw
+                                if 0 <= iy < h and 0 <= ix < wd:
+                                    gx[ni, ci, iy, ix] += g * w[oi, ci, ki, kj]
+                                    gw[oi, ci, ki, kj] += g * x[ni, ci, iy, ix]
+    return gx, gw, gb
+
+
 def conv2d_transpose_reference(x, w, b=None, stride=(2, 2)):
     """Scatter-accumulate transposed convolution."""
     n, c, h, wd = x.shape

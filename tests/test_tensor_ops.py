@@ -1,16 +1,19 @@
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sadnet import deform, tensor as T
 from sadnet.deform import modulated_deform_conv2d
 from sadnet.errors import ConfigurationError, UsageError
+from sadnet.model import ModelConfig, SADNet
 from sadnet.tensor import Tensor
 
-from oracles import conv2d_reference, conv2d_transpose_reference
+from oracles import (conv2d_reference, conv2d_transpose_reference,
+                     conv2d_vjp_reference)
 
 
 class TestConv2d:
@@ -85,6 +88,42 @@ class TestConv2d:
                      (dil, dil), (pad, pad))
         ref = conv2d_reference(x, w, b, (stride, stride), (dil, dil), (pad, pad))
         np.testing.assert_allclose(y.data, ref, rtol=1e-6, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+           c=st.integers(1, 3), o=st.integers(1, 3),
+           kh=st.integers(1, 3), kw=st.integers(1, 3),
+           sh=st.integers(1, 2), sw=st.integers(1, 2),
+           dh=st.integers(1, 3), dw=st.integers(1, 3),
+           ph=st.integers(0, 4), pw=st.integers(0, 4),
+           h=st.integers(1, 9), w_dim=st.integers(1, 9))
+    # output smaller than the input (p < d*(k-1)/2): gy is zero-extended
+    @example(seed=1, n=2, c=2, o=3, kh=3, kw=3, sh=1, sw=1, dh=2, dw=2,
+             ph=1, pw=1, h=9, w_dim=7)
+    # output larger than the input (p > d*(k-1)): gy is cropped
+    @example(seed=2, n=1, c=3, o=2, kh=3, kw=2, sh=1, sw=1, dh=1, dw=1,
+             ph=3, pw=4, h=5, w_dim=8)
+    @example(seed=3, n=2, c=2, o=2, kh=1, kw=1, sh=1, sw=1, dh=1, dw=1,
+             ph=2, pw=0, h=4, w_dim=3)
+    def test_property_gradients_match_reference(self, seed, n, c, o, kh, kw,
+                                                sh, sw, dh, dw, ph, pw, h,
+                                                w_dim):
+        out_h = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
+        out_w = (w_dim + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+        assume(out_h >= 1 and out_w >= 1)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((n, c, h, w_dim)), requires_grad=True)
+        w = Tensor(rng.standard_normal((o, c, kh, kw)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, o, 1, 1)), requires_grad=True)
+        stride, dilation, padding = (sh, sw), (dh, dw), (ph, pw)
+        y = T.conv2d(x, w, b, stride, dilation, padding)
+        gy = rng.standard_normal(y.shape)
+        T.tensor_sum(T.mul(y, Tensor(gy))).backward()
+        refs = conv2d_vjp_reference(x.data, w.data, gy, stride, dilation,
+                                    padding)
+        for name, t, ref in zip(("x", "weight", "bias"), (x, w, b), refs):
+            np.testing.assert_allclose(t.grad, ref, rtol=1e-6, atol=1e-9,
+                                       err_msg=name)
 
 
 class TestConvTranspose:
@@ -167,7 +206,7 @@ def _forward_growth(op):
 
 
 class TestForwardKeepsNoColumns:
-    """Backward rebuilds the columns, so forward leaves only its output."""
+    """Backward builds its own columns, so forward leaves only its output."""
 
     @pytest.mark.parametrize("stride,dilation,padding", [
         ((1, 1), (1, 1), (1, 1)), ((2, 2), (1, 1), (1, 1)),
@@ -195,10 +234,10 @@ class TestForwardKeepsNoColumns:
         assert grown <= out.data.nbytes + 64 * 1024
 
 
-def _conv_case(rng, stride, dilation, padding):
+def _conv_case(rng, stride, dilation, padding, k=3):
     """A conv2d and its inputs: 2 images of a ragged size."""
     x = rng.standard_normal((2, 6, 23, 17))
-    w = rng.standard_normal((5, 6, 3, 3))
+    w = rng.standard_normal((5, 6, k, k))
     b = rng.standard_normal((1, 5, 1, 1))
 
     def op(x, w, b):
@@ -244,16 +283,23 @@ def _run_banded(monkeypatch, budget, op, arrays, gy):
 class TestBands:
     """Row bands change what an op allocates, not what it computes.
 
-    A budget below one output row forces one row per band. The forward and
-    every gradient match the single-band run to 1e-6 of their largest
-    element: halo rows and weight partials are summed in another order,
-    and OpenBLAS may round a narrow GEMM block (17 columns here) otherwise
-    than the same columns inside a wide one. Banded runs repeat exactly.
+    A budget below one row forces one row per band: output rows in forward
+    and in a strided backward, input rows in a stride-1 conv2d backward,
+    whose output may be smaller ("shrinking") or larger ("growing") than
+    its input; a 1x1 kernel ("pointwise") reads its rows in place. The
+    forward and every gradient match the single-band run to
+    1e-6 of their largest element: weight partials, and a strided conv's
+    halo rows, are summed in another order, and OpenBLAS may round a narrow
+    GEMM block (17 columns here) otherwise than the same columns inside a
+    wide one. Banded runs repeat exactly.
     """
 
     CASES = {"stride1": ((1, 1), (1, 1), (1, 1)),
              "stride2": ((2, 2), (1, 1), (1, 1)),
-             "dilated": ((1, 1), (2, 2), (2, 2))}
+             "dilated": ((1, 1), (2, 2), (2, 2)),
+             "shrinking": ((1, 1), (2, 2), (1, 1)),
+             "growing": ((1, 1), (1, 1), (3, 3)),
+             "pointwise": ((1, 1), (1, 1), (0, 0), 1)}
 
     def _check(self, monkeypatch, rng, dtype, op, arrays):
         gy = rng.standard_normal(op(*map(Tensor, arrays)).shape).astype(dtype)
@@ -300,6 +346,47 @@ class TestBands:
             monkeypatch, T._BAND_BYTES,
             lambda *t: modulated_deform_conv2d(*t, (1, 1)), arrays, gy)
         assert bands == [(slice(0, 4), 0, size)] * 2
+
+    def test_smoke_step_stride1_backward_takes_one_band(self, monkeypatch,
+                                                        rng):
+        # one forward and backward of the acceptance smoke config (batch 4,
+        # patch 64) under the real budget: every stride-1 conv2d backward
+        # pays no per-band overhead
+        bands = {}  # (call, phase) -> bands
+        phase = [None]
+        calls = itertools.count()
+        real_bands, real_conv = T._bands, T.conv2d
+
+        def recording(*args):
+            for band in real_bands(*args):
+                bands.setdefault(phase[0], []).append(band)
+                yield band
+
+        def conv(x, weight, bias=None, stride=(1, 1), dilation=(1, 1),
+                 padding=(0, 0)):
+            name = (f"#{next(calls)} {x.shape[1]}->"
+                    f"{weight.shape[0]} k{weight.shape[2]} s{stride[0]} "
+                    f"d{dilation[0]} @{x.shape[2]}")
+            phase[0] = (name, "forward")
+            out = real_conv(x, weight, bias, stride, dilation, padding)
+            inner = out._backward
+
+            def backward():
+                phase[0] = (name, "backward")
+                inner()
+            out._backward = backward
+            return out
+        monkeypatch.setattr(T, "_bands", recording)
+        monkeypatch.setattr(T, "conv2d", conv)
+        model = SADNet(ModelConfig(in_channels=1,
+                                   channels_per_scale=(8, 16, 32, 64)),
+                       rng=np.random.default_rng(0))
+        x = Tensor(rng.random((4, 1, 64, 64), dtype=np.float32))
+        T.loss("L1", model(x), Tensor(x.data.copy())).backward()
+        stride1 = [(name, len(b)) for (name, when), b in bands.items()
+                   if when == "backward" and " s1 " in name]
+        assert len(stride1) == 31
+        assert [c for c in stride1 if c[1] > 1] == []
 
 
 class TestBoundedTransients:
