@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .data import generate_noisy_corpus, load_image, to_tensor, write_manifest
+from .data import generate_noisy_corpus, write_manifest
 from .errors import ConfigurationError, DataError, NumericError, UsageError
 from .gradcheck import run_suite
 from .model import count_params_flops, export_offsets
 from .training import (denoise_image, evaluate, load_inference_model,
-                       parse_train_config, train)
+                       load_model_input, parse_train_config, train)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,9 +125,8 @@ def _cmd_make_noisy(args) -> int:
 
 def _cmd_export_offsets(args) -> int:
     model = load_inference_model(args.ckpt)
-    buf = load_image(args.input)
-    x = to_tensor(buf, dtype=model.tail.weight.data.dtype)
-    rows = export_offsets(model, x, args.output, args.points)
+    rows = export_offsets(model, load_model_input(model, args.input),
+                          args.output, args.points)
     print(f"wrote {rows} rows to {args.output}")
     return 0
 

@@ -12,7 +12,7 @@ the identity at step 0, so the trainable path models only the noise.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -74,24 +74,14 @@ class ModelConfig:
         return self.kernel_size * self.kernel_size
 
     def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "scales": self.scales,
-            "channels_per_scale": list(self.channels_per_scale),
-            "resblocks_per_scale": self.resblocks_per_scale,
-            "rsabs_per_scale": self.rsabs_per_scale,
-            "context_dilations": list(self.context_dilations),
-            "context_compression": self.context_compression,
-            "leaky_slope": self.leaky_slope,
-            "kernel_size": self.kernel_size,
-            "updown_kernel": self.updown_kernel,
-        }
+        """The fields as JSON types: tuples become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        cfg = cls(**{**d,
-                     "channels_per_scale": tuple(d["channels_per_scale"]),
-                     "context_dilations": tuple(d["context_dilations"])})
+        cfg = replace(cls(**d), **{k: tuple(v) for k, v in d.items()
+                                   if isinstance(v, list)})
         cfg.validate()
         return cfg
 
@@ -118,64 +108,73 @@ class ScaleState:
 
 def _he_uniform(rng: np.random.Generator | None, shape, fan_in: int, dtype):
     if rng is None:
-        # weights a checkpoint overwrites: np.zeros maps pages untouched, so
-        # a skeleton costs neither random draws nor page faults
+        # zero init, or weights a checkpoint overwrites: np.zeros maps pages
+        # untouched, so a skeleton costs neither random draws nor page faults
         return np.zeros(shape, dtype=dtype)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-class Conv2d:
-    def __init__(self, rng, in_c, out_c, k, stride=1, padding=0, dilation=1,
-                 zero_init=False, dtype=np.float32):
+class _Conv:
+    """Weight, bias and MAC count shared by the convolution layers.
+
+    ``macs`` is the multiply-accumulate count of one image in the last
+    call: pixels (output, or input for a transposed conv) x weight size.
+    Pointwise work (bias, activations, skip adds) is not counted.
+    """
+
+    def __init__(self, rng, in_c, out_c, k, zero_init=False, dtype=np.float32):
         shape = (out_c, in_c, k, k)
-        if zero_init:
-            w = np.zeros(shape, dtype=dtype)
-        else:
-            w = _he_uniform(rng, shape, in_c * k * k, dtype)
+        w = _he_uniform(None if zero_init else rng, shape, in_c * k * k, dtype)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
+        self.macs = 0
+
+    def params(self, prefix):
+        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
+
+
+class Conv2d(_Conv):
+    def __init__(self, rng, in_c, out_c, k, stride=1, padding=0, dilation=1,
+                 zero_init=False, dtype=np.float32):
+        super().__init__(rng, in_c, out_c, k, zero_init, dtype)
         self.stride = (stride, stride)
         self.dilation = (dilation, dilation)
         self.padding = (padding, padding)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.dilation,
-                        self.padding)
+        y = T.conv2d(x, self.weight, self.bias, self.stride, self.dilation,
+                     self.padding)
+        self.macs = y.shape[2] * y.shape[3] * self.weight.data.size
+        return y
 
-    def params(self, prefix):
-        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
 
-
-class ConvTranspose2d:
+class ConvTranspose2d(_Conv):
     def __init__(self, rng, in_c, out_c, k, stride=2, dtype=np.float32):
-        w = _he_uniform(rng, (out_c, in_c, k, k), in_c * k * k, dtype)
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
+        super().__init__(rng, in_c, out_c, k, dtype=dtype)
         self.stride = (stride, stride)
 
     def __call__(self, x: Tensor) -> Tensor:
+        self.macs = x.shape[2] * x.shape[3] * self.weight.data.size
         return T.conv2d_transpose(x, self.weight, self.bias, self.stride)
 
-    def params(self, prefix):
-        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
 
-
-class DeformConv2d:
-    """3x3 modulated deformable convolution, padding 1."""
+class DeformConv2d(_Conv):
+    """kxk modulated deformable convolution, padding k // 2. Its MACs add,
+    per output pixel and tap, 5 per input channel (4 for the bilinear blend,
+    1 for the modulation) and ~10 of coordinate arithmetic."""
 
     def __init__(self, rng, in_c, out_c, k, dtype=np.float32):
-        w = _he_uniform(rng, (out_c, in_c, k, k), in_c * k * k, dtype)
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
+        super().__init__(rng, in_c, out_c, k, dtype=dtype)
         self.padding = (k // 2, k // 2)
 
     def __call__(self, x, offsets, masks):
-        return modulated_deform_conv2d(x, self.weight, self.bias, offsets,
-                                       masks, self.padding)
-
-    def params(self, prefix):
-        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
+        y = modulated_deform_conv2d(x, self.weight, self.bias, offsets, masks,
+                                    self.padding)
+        _, c, kh, kw = self.weight.shape
+        self.macs = y.shape[2] * y.shape[3] * (self.weight.data.size
+                                               + kh * kw * (5 * c + 10))
+        return y
 
 
 class ResBlock:
@@ -428,83 +427,66 @@ class SADNet:
         return sum(p.data.size for _, p in self.params())
 
 
+def _layers(obj) -> list[_Conv]:
+    """The convolution layers under a model, a block or a list of them."""
+    if isinstance(obj, _Conv):
+        return [obj]
+    items = (obj if isinstance(obj, list)
+             else vars(obj).values() if hasattr(obj, "params") else ())
+    return [layer for item in items for layer in _layers(item)]
+
+
 def count_params_flops(config: ModelConfig, input_shape) -> tuple[int, int]:
-    """Exact parameter count and analytic FLOP count for one forward pass.
+    """Exact parameter count and MACs (counted as FLOPs) of one image.
 
-    FLOP convention: one multiply-accumulate counts as one FLOP. Per layer:
-      standard conv:    out_h*out_w*out_c*in_c*k*k
-      transposed conv:  in_h*in_w*in_c*out_c*k*k
-      deformable conv:  the standard-conv count, plus per output pixel and
-                        kernel tap: 4 MACs/channel for bilinear blending,
-                        1 MAC/channel for modulation, and ~10 scalar ops of
-                        coordinate arithmetic
-      bilinear 2x field upsampling: 8 ops per output element
-    Pointwise activations and skip additions are ignored (sub-percent).
+    One forward of a zero skeleton at 2^(scales-1) square, the smallest
+    size the model takes, sums the layers' ``macs`` and 8 per element of
+    the upsampled offset and mask fields. MACs are linear in H*W at the
+    sizes the model takes, so a size it does not take is counted at the
+    padded size ``denoise_tensor`` runs.
     """
-    config.validate()
+    model = SADNet(config)
+    div = 2 ** (config.scales - 1)
+    model.forward(Tensor(np.zeros((1, config.in_channels, div, div), np.float32)))
+    macs = sum(layer.macs for layer in _layers(model))
+    macs += sum(8 * (st.offsets[0].size + st.masks[0].size)
+                for st in model.scale_states if st.scale < config.scales - 1)
     _, _, h, w = input_shape
-    ch = config.channels_per_scale
-    k = config.kernel_size
-    kt = config.k_taps
-    uk = config.updown_kernel
-    nres = config.resblocks_per_scale
-    nrsab = config.rsabs_per_scale
-    s_count = config.scales
+    return model.param_count(), macs * -(-h // div) * -(-w // div)
 
-    def conv_f(in_c, out_c, kk, oh, ow):
-        return oh * ow * out_c * in_c * kk * kk
 
-    model = SADNet(config, rng=np.random.default_rng(0))
-    params = model.param_count()
-
-    flops = conv_f(config.in_channels, ch[0], 1, h, w)  # head
-    hs, ws = h, w
-    for s in range(s_count):
-        flops += nres * 2 * conv_f(ch[s], ch[s], k, hs, ws)
-        if s < s_count - 1:
-            hs //= 2
-            ws //= 2
-            flops += conv_f(ch[s], ch[s + 1], uk, hs, ws)
-    inner = ch[-1] // config.context_compression
-    flops += conv_f(ch[-1], inner, 1, hs, ws)
-    flops += sum(conv_f(inner, inner, k, hs, ws) for _ in config.context_dilations)
-    flops += conv_f(inner * len(config.context_dilations), ch[-1], 1, hs, ws)
-    for s in range(s_count - 1, -1, -1):
-        hd, wd = h >> s, w >> s
-        if s < s_count - 1:
-            flops += conv_f(2 * ch[s], ch[s], k, hd, wd)
-        # offset transfer
-        head_in = ch[s] + (3 * kt if s < s_count - 1 else 0)
-        flops += conv_f(ch[s], ch[s], k, hd, wd)
-        flops += conv_f(head_in, 3 * kt, k, hd, wd)
-        if s < s_count - 1:
-            flops += 8 * 3 * kt * hd * wd  # field upsampling
-        # RSABs: deformable conv + standard conv
-        flops += nrsab * (conv_f(ch[s], ch[s], k, hd, wd)
-                          + hd * wd * kt * (5 * ch[s] + 10)
-                          + conv_f(ch[s], ch[s], k, hd, wd))
-        if s > 0:
-            flops += conv_f(ch[s], ch[s - 1], uk, hd, wd)
-    flops += conv_f(ch[0], config.in_channels, 1, h, w)  # tail
-    return params, flops
+def denoise_tensor(model: SADNet, x: Tensor) -> Tensor:
+    """Forward pass with reflect padding to the required divisibility."""
+    _, _, h, w = x.shape
+    div = 2 ** (model.config.scales - 1)
+    pad = ((0, 0), (0, 0), (0, -h % div), (0, -w % div))
+    data = np.pad(x.data, pad, mode="reflect") if h % div or w % div else x.data
+    out = model(Tensor(data))
+    return Tensor(out.data[:, :, :h, :w])
 
 
 def export_offsets(model: SADNet, x: Tensor, out_path, points_per_axis: int = 4) -> int:
     """Dump learned sampling positions and modulations to CSV.
 
-    For each scale, an evenly spaced points_per_axis^2 pixel grid is probed;
-    each row gives one kernel tap's absolute sampling position
-    (base position + learned offset) and its modulation scalar.
-    Returns the number of data rows written.
+    The image is reflect-padded as ``denoise_tensor`` pads it. For each
+    scale, an evenly spaced points_per_axis^2 grid of the pixels that lie
+    inside the image is probed; each row gives one kernel tap's absolute
+    sampling position (base position + learned offset) and its modulation
+    scalar. Returns the number of data rows written.
     """
-    model.forward(x)
+    if points_per_axis < 1:
+        raise UsageError(f"--points (points per axis) must be at least 1, "
+                         f"got {points_per_axis}")
+    denoise_tensor(model, x)
+    _, _, h, w = x.shape
     k = model.config.kernel_size
     pad = k // 2
     rows = []
     for state in sorted(model.scale_states, key=lambda s: s.scale):
         off = state.offsets[0]
         mask = state.masks[0]
-        _, oh, ow = mask.shape
+        stride = 2 ** state.scale
+        oh, ow = -(-h // stride), -(-w // stride)
         ys = np.linspace(0, oh - 1, points_per_axis).round().astype(int)
         xs = np.linspace(0, ow - 1, points_per_axis).round().astype(int)
         for py in ys:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .data import (augment, from_tensor, load_image, make_rng, read_manifest,
                    save_image, to_tensor)
 from .errors import DataError, NumericError, UsageError
 from .metrics import MetricReport, psnr, ssim
-from .model import ModelConfig, SADNet
+from .model import ModelConfig, SADNet, denoise_tensor
 from .optim import AdamState, adam_step
 from .tensor import Tensor
 
@@ -55,23 +55,18 @@ class TrainConfig:
             raise UsageError(f"loss_kind must be L1 or L2, got {self.loss_kind}")
 
 
-_MODEL_KEYS = {
-    "in_channels": int, "scales": int, "resblocks_per_scale": int,
-    "rsabs_per_scale": int, "context_compression": int, "kernel_size": int,
-    "updown_kernel": int, "leaky_slope": float,
-    "channels_per_scale": "int_list", "context_dilations": "int_list",
-}
-_TRAIN_KEYS = {
-    "loss_kind": str, "batch_size": int, "patch_size": int, "lr": float,
-    "lr_halve_at": int, "max_iters": int, "seed": int, "manifest": str,
-    "checkpoint_dir": str, "log_interval": int, "checkpoint_interval": int,
-}
+def _field_types(cls) -> dict:
+    """Config keys: each field with a plain default, typed by that default."""
+    return {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
+
+
+_MODEL_KEYS = _field_types(ModelConfig)
+_TRAIN_KEYS = _field_types(TrainConfig)
 
 
 def parse_train_config(path) -> TrainConfig:
     """Flat key=value config file; unknown keys are rejected."""
-    cfg = TrainConfig()
-    model_kwargs = {}
+    model_kwargs, train_kwargs = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -91,18 +86,11 @@ def parse_train_config(path) -> TrainConfig:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             parsed = (tuple(int(v) for v in value.split(","))
-                      if conv == "int_list" else conv(value))
+                      if conv is tuple else conv(value))
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
-        if key in _MODEL_KEYS:
-            model_kwargs[key] = parsed
-        else:
-            setattr(cfg, key, parsed)
-    if model_kwargs:
-        base = ModelConfig().to_dict()
-        base.update({k: list(v) if isinstance(v, tuple) else v
-                     for k, v in model_kwargs.items()})
-        cfg.model = ModelConfig.from_dict(base)
+        (model_kwargs if key in _MODEL_KEYS else train_kwargs)[key] = parsed
+    cfg = TrainConfig(model=ModelConfig(**model_kwargs), **train_kwargs)
     cfg.validate()
     return cfg
 
@@ -216,19 +204,6 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 
-def denoise_tensor(model: SADNet, x: Tensor) -> Tensor:
-    """Forward pass with reflect padding to the required divisibility."""
-    _, _, h, w = x.shape
-    div = 2 ** (model.config.scales - 1)
-    ph = (-h) % div
-    pw = (-w) % div
-    data = x.data
-    if ph or pw:
-        data = np.pad(data, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
-    out = model(Tensor(data))
-    return Tensor(out.data[:, :, :h, :w])
-
-
 def load_inference_model(checkpoint_path) -> SADNet:
     """A checkpoint's model with gradients off: its forwards build no graph."""
     model = load_checkpoint(checkpoint_path).model
@@ -237,15 +212,19 @@ def load_inference_model(checkpoint_path) -> SADNet:
     return model
 
 
-def denoise_image(checkpoint_path, input_path, output_path) -> None:
-    model = load_inference_model(checkpoint_path)
-    buf = load_image(input_path)
+def load_model_input(model: SADNet, path) -> Tensor:
+    """An image as the model's input; a wrong channel count is a data error."""
+    buf = load_image(path)
     if buf.channels != model.config.in_channels:
         raise DataError(
-            f"{input_path} has {buf.channels} channels, checkpoint model "
+            f"{path} has {buf.channels} channels, checkpoint model "
             f"expects {model.config.in_channels}")
-    x = to_tensor(buf, dtype=model.tail.weight.data.dtype)
-    y = denoise_tensor(model, x)
+    return to_tensor(buf, dtype=model.tail.weight.data.dtype)
+
+
+def denoise_image(checkpoint_path, input_path, output_path) -> None:
+    model = load_inference_model(checkpoint_path)
+    y = denoise_tensor(model, load_model_input(model, input_path))
     save_image(from_tensor(y), output_path)
 
 
@@ -257,11 +236,14 @@ def evaluate(checkpoint_path, manifest_path) -> MetricReport:
     if missing:
         raise DataError("missing files: " + ", ".join(missing))
     report = MetricReport()
-    dtype = model.tail.weight.data.dtype
     for e in entries:
         clean = load_image(e.clean_path)
-        noisy = load_image(e.noisy_path)
-        denoised = from_tensor(denoise_tensor(model, to_tensor(noisy, dtype)))
+        denoised = from_tensor(
+            denoise_tensor(model, load_model_input(model, e.noisy_path)))
+        if denoised.samples.shape != clean.samples.shape:
+            raise DataError(
+                f"{e.noisy_path} and {e.clean_path} differ in (height, width, "
+                f"channels): {denoised.samples.shape} vs {clean.samples.shape}")
         report.add(os.path.basename(e.noisy_path), psnr(denoised, clean),
                    ssim(denoised, clean))
     return report

@@ -3,7 +3,8 @@ import pytest
 
 from sadnet.checkpoint import save_checkpoint
 from sadnet.cli import main
-from sadnet.data import load_image, read_manifest, save_image
+from sadnet.data import (ImageBuffer, ManifestEntry, load_image, read_manifest,
+                         save_image, write_manifest)
 from sadnet.model import SADNet
 from sadnet.optim import AdamState
 
@@ -27,6 +28,12 @@ def corpus(rng, tmp_path):
     for i in range(3):
         save_image(synth_buffer(rng, 32), clean_dir / f"img{i}.pgm")
     return clean_dir
+
+
+def random_image(rng, path, height, width, channels=1):
+    samples = rng.integers(0, 256, (height, width, channels)).astype(np.uint8)
+    save_image(ImageBuffer(width, height, channels, samples), path)
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -124,6 +131,66 @@ class TestPipeline:
         assert "ckpt_final.sadn" in err
         assert (tmp_path / "ckpt" / "ckpt_final.sadn").exists()
         assert len(out.splitlines()) == 2  # iterations 2 and 4 logged
+
+
+class TestExportOffsets:
+    def test_points_below_one_is_usage_error(self, capsys, tmp_path,
+                                             micro_ckpt, corpus):
+        out_csv = tmp_path / "offsets.csv"
+        for points in ("0", "-3"):
+            code, out, err = run(capsys, "export-offsets", "--ckpt", micro_ckpt,
+                                 "--in", str(next(corpus.glob("*.pgm"))),
+                                 "--out", str(out_csv), "--points", points)
+            assert code == 1
+            assert out == ""
+            assert f"--points (points per axis) must be at least 1, got {points}" in err
+            assert not out_csv.exists()
+
+    def test_any_image_size(self, capsys, rng, tmp_path, micro_ckpt):
+        # 31 is odd, the 2-scale model takes multiples of 2: the image is
+        # padded as denoise pads it and only pixels inside it are probed
+        img = random_image(rng, tmp_path / "odd.pgm", 31, 31)
+        out_csv = tmp_path / "offsets.csv"
+        code, _, _ = run(capsys, "export-offsets", "--ckpt", micro_ckpt,
+                         "--in", img, "--out", str(out_csv), "--points", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 3 * 3 * 9  # scales x points^2 x taps
+        for scale, extent in ((0, 31), (1, 16)):
+            probed = {int(r[1]) for r in rows if int(r[0]) == scale}
+            assert probed == {0, extent // 2, extent - 1}
+
+    def test_channel_mismatch_is_data_error(self, capsys, rng, tmp_path,
+                                            micro_ckpt):
+        rgb = random_image(rng, tmp_path / "rgb.ppm", 16, 16, channels=3)
+        code, _, err = run(capsys, "export-offsets", "--ckpt", micro_ckpt,
+                           "--in", rgb, "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "rgb.ppm has 3 channels, checkpoint model expects 1" in err
+
+
+class TestEvalErrors:
+    def test_channel_mismatch_is_data_error(self, capsys, rng, tmp_path,
+                                            micro_ckpt):
+        rgb = random_image(rng, tmp_path / "rgb.ppm", 16, 16, channels=3)
+        manifest = tmp_path / "eval.tsv"
+        write_manifest([ManifestEntry(rgb, rgb, 25.0, 0)], manifest)
+        code, _, err = run(capsys, "eval", "--ckpt", micro_ckpt,
+                           "--manifest", str(manifest))
+        assert code == 2
+        assert "rgb.ppm has 3 channels, checkpoint model expects 1" in err
+
+    def test_size_mismatch_names_both_files(self, capsys, rng, tmp_path,
+                                            micro_ckpt):
+        clean = random_image(rng, tmp_path / "clean.pgm", 32, 32)
+        noisy = random_image(rng, tmp_path / "noisy.pgm", 40, 32)
+        manifest = tmp_path / "eval.tsv"
+        write_manifest([ManifestEntry(clean, noisy, 25.0, 0)], manifest)
+        code, _, err = run(capsys, "eval", "--ckpt", micro_ckpt,
+                           "--manifest", str(manifest))
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert clean in err and noisy in err
 
 
 class TestExitCodes:

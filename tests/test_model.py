@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sadnet import model as M
 from sadnet import tensor as T
 from sadnet.errors import ConfigurationError, UsageError
 from sadnet.model import (ContextBlock, Conv2d, ModelConfig, OffsetTransfer,
@@ -248,6 +249,46 @@ class TestCounting:
         updated = sum(m.size for m in state.m.values())
         params, _ = count_params_flops(cfg, (1, 1, 8, 8))
         assert params == updated == model.param_count()
+
+    def test_count_matches_per_op_macs(self, monkeypatch, rng):
+        # kernel 5 in the blocks, while the offset-transfer convs and the
+        # context branches stay 3x3
+        cfg = micro_config(kernel_size=5)
+        _, counted = count_params_flops(cfg, (1, 1, 16, 8))
+        ops = []
+
+        def tap(fn, macs):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                ops.append(macs(args, out.data))
+                return out
+            return wrapper
+
+        def deform_macs(args, y):
+            _, c, kh, kw = args[1].shape
+            return y[:, 0].size * (args[1].data.size + kh * kw * (5 * c + 10))
+
+        # one op's MACs from its shapes: n*oh*ow*o*c*kh*kw for a conv, the
+        # input pixels for a transposed conv, 8 per upsampled element
+        monkeypatch.setattr(T, "conv2d", tap(
+            T.conv2d, lambda a, y: y[:, 0].size * a[1].data.size))
+        monkeypatch.setattr(T, "conv2d_transpose", tap(
+            T.conv2d_transpose, lambda a, y: a[0].data[:, 0].size * a[1].data.size))
+        monkeypatch.setattr(M, "modulated_deform_conv2d",
+                            tap(M.modulated_deform_conv2d, deform_macs))
+        monkeypatch.setattr(M, "bilinear_upsample_x2", tap(
+            M.bilinear_upsample_x2, lambda a, y: 8 * y.size))
+        model = SADNet(cfg, rng=np.random.default_rng(0))
+        model(Tensor(rng.random((2, 1, 16, 8)).astype(np.float32)))
+        # head, 4 enc, down, 6 context, fuse, 4 offset, 4 rsab, up, tail
+        # and 2 field upsamplings
+        assert len(ops) == 25
+        assert sum(ops) == 2 * counted
+
+    def test_indivisible_size_counted_at_padded_size(self):
+        cfg = ModelConfig()
+        assert (count_params_flops(cfg, (1, 3, 321, 481))
+                == count_params_flops(cfg, (1, 3, 328, 488)))
 
 
 class TestExportOffsets:

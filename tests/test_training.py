@@ -2,6 +2,7 @@ import gc
 import io
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -81,6 +82,34 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("momentum = 0.9\n")
         with pytest.raises(UsageError, match="unknown config key 'momentum'"):
+            parse_train_config(path)
+
+    def test_every_config_field_is_a_key(self, tmp_path):
+        model = ModelConfig(
+            in_channels=1, scales=3, channels_per_scale=(8, 16, 32),
+            resblocks_per_scale=2, rsabs_per_scale=3, context_dilations=(1, 2),
+            context_compression=2, leaky_slope=0.1, kernel_size=5,
+            updown_kernel=2)
+        expected = TrainConfig(
+            model=model, loss_kind="L1", batch_size=3, patch_size=32, lr=0.5,
+            lr_halve_at=7, max_iters=9, seed=4, manifest="m.tsv",
+            checkpoint_dir="ck", log_interval=2, checkpoint_interval=3)
+        lines = []
+        for config in (model, expected):
+            for f in fields(config):
+                value = getattr(config, f.name)
+                if isinstance(value, tuple):
+                    value = ",".join(map(str, value))
+                if f.name != "model":
+                    lines.append(f"{f.name} = {value}")
+        path = tmp_path / "train.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_train_config(path) == expected
+
+    def test_model_is_not_a_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("model = sadnet\n")
+        with pytest.raises(UsageError, match="unknown config key 'model'"):
             parse_train_config(path)
 
     def test_bad_value_names_line_and_key(self, tmp_path):
