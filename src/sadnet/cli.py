@@ -87,14 +87,9 @@ def _cmd_inspect(args) -> int:
         cfg = ModelConfig()
     params, flops = count_params_flops(
         cfg, (1, cfg.in_channels, args.height, args.width))
-    print(f"scales\t{cfg.scales}")
-    print(f"channels_per_scale\t{','.join(map(str, cfg.channels_per_scale))}")
-    print(f"resblocks_per_scale\t{cfg.resblocks_per_scale}")
-    print(f"rsabs_per_scale\t{cfg.rsabs_per_scale}")
-    print(f"context_dilations\t{','.join(map(str, cfg.context_dilations))}")
-    print(f"context_compression\t{cfg.context_compression}")
-    print(f"kernel_size\t{cfg.kernel_size}")
-    print(f"updown_kernel\t{cfg.updown_kernel}")
+    for key, value in cfg.to_dict().items():
+        value = ",".join(map(str, value)) if isinstance(value, list) else value
+        print(f"{key}\t{value}")
     print(f"head_tail_kernel\t1")
     print(f"input_shape\t1x{cfg.in_channels}x{args.height}x{args.width}")
     print(f"params\t{params}")

@@ -215,6 +215,8 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 def generate_noisy_corpus(in_dir, out_dir, sigma: float, seed: int) -> list[ManifestEntry]:
     """Add AWGN to every PGM/PPM under in_dir; per-image seed is seed ^ index."""
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     names = sorted(n for n in os.listdir(in_dir)
                    if n.lower().endswith((".pgm", ".ppm")))
     if not names:

@@ -38,10 +38,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _bands, _bias_grad, _inside, _node, _weight_grad
+from .tensor import Tensor, _bands, _bias_grad, _node, _weight_grad
 
 # Zero padding of the sampled input; the [-2, h] clamp keeps every corner in.
 _PAD = 2
+
+
+def _inside(p0: int, p1: int, ph: int, h: int) -> tuple[slice, slice]:
+    """The input rows among padded rows [p0, p1), and their place there."""
+    lo = max(p0 - ph, 0)
+    hi = max(min(p1 - ph, h), lo)
+    return slice(lo, hi), slice(lo - p0 + ph, hi - p0 + ph)
 
 
 def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):

@@ -104,15 +104,15 @@ def run_ops_suite(max_elements: int = 6) -> list[CheckResult]:
     rng = np.random.default_rng(1234)
     results = []
 
-    # conv2d: plain, strided/dilated, and stride 1 with an output smaller
-    # (s1d2p1) and larger (s1d1p3) than its input
-    for tag, stride, dilation, padding in (
-            ("s1d1p1", 1, 1, 1), ("s2d2p2", 2, 2, 2), ("s1d2p1", 1, 2, 1),
-            ("s1d1p3", 1, 1, 3)):
+    # conv2d: plain, the 2x2 stride-2 down conv, and stride 1 with an
+    # output smaller (s1d2p1) and larger (s1d1p3) than its input
+    for tag, k, stride, dilation, padding in (
+            ("s1d1p1", 3, 1, 1, 1), ("k2s2", 2, 2, 1, 0),
+            ("s1d2p1", 3, 1, 2, 1), ("s1d1p3", 3, 1, 1, 3)):
         x = _rand(rng, (2, 3, 6, 6))
-        w = _rand(rng, (4, 3, 3, 3))
+        w = _rand(rng, (4, 3, k, k))
         b = _rand(rng, (1, 4, 1, 1))
-        oh = T.conv_output_size(6, 3, stride, dilation, padding)
+        oh = T.conv_output_size(6, k, stride, dilation, padding)
         proj = rng.standard_normal((2, 4, oh, oh))
         results.append(finite_diff_check(
             f"conv2d[{tag}]",

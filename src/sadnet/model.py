@@ -57,11 +57,15 @@ class ModelConfig:
             raise ConfigurationError(
                 f"kernel_size must be odd and positive (same-size convolutions), "
                 f"got {self.kernel_size}")
-        if (self.updown_kernel < 1 or self.context_compression < 1
+        if self.updown_kernel != 2:
+            # each scale halves: offsets are upsampled 2x from the scale
+            # below, and inputs are padded to a multiple of 2^(scales-1)
+            raise ConfigurationError(
+                f"updown_kernel must be 2, got {self.updown_kernel}")
+        if (self.context_compression < 1
                 or any(d < 1 for d in self.context_dilations)):
             raise ConfigurationError(
-                "updown_kernel, context_compression and context_dilations "
-                "must be positive")
+                "context_compression and context_dilations must be positive")
         if self.channels_per_scale[-1] % self.context_compression != 0:
             raise ConfigurationError(
                 f"context_compression {self.context_compression} does not divide "

@@ -12,11 +12,15 @@ freed during the sweep instead of waiting for the cyclic collector. Leaves
 (parameters, inputs) keep their ``grad``. A second ``backward()`` on the same
 graph is unsupported; build the graph again instead.
 
-Convolutions share one column-GEMM core: ``_im2col`` lays a window of an
-input out as (n, c*kh*kw, oh*ow) columns, reading zeros wherever the window
-leaves the input (so zero padding needs no padded copy), ``_col2im`` is its
-adjoint, and every product is a batched matmul with the (out_c,
-in_c*kh*kw) weight matrix. A convolution keeps no columns from forward to
+Convolutions share one column-GEMM core: (n, c*kh*kw, oh*ow) columns and
+a batched matmul with the (out_c, in_c*kh*kw) weight matrix. ``_im2col``
+builds stride-1 columns, reading zeros wherever the window leaves the
+input (so zero padding needs no padded copy). A strided ``conv2d`` (and
+every ``conv2d_transpose``) must have stride == kernel, padding 0 and
+dilation 1, else it raises ``ConfigurationError``: its blocks do not
+overlap, so its columns are the permuted copy ``_space_to_depth`` and
+their adjoint ``_depth_to_space`` sums nothing (Shi et al. 2016,
+arXiv:1609.05158). A convolution keeps no columns from forward to
 backward (Chen et al. 2016, arXiv:1604.06174). A stride-1 ``conv2d``
 backward builds one set of columns from its output gradient instead: the
 input gradient of a stride-1 convolution is the stride-1 convolution of the
@@ -25,10 +29,10 @@ is negative), with the kernel flipped and its channel axes swapped
 (Dumoulin & Visin 2016, arXiv:1603.07285). One GEMM writes the input
 gradient's rows; the same columns against the input give the weight
 gradient with flipped taps. A strided ``conv2d`` backward rebuilds the
-input's columns for the weight gradient and scatters the column gradient
-with ``_col2im``. Both rely on the ``Tensor`` convention that ``data`` is
-never mutated in place while a graph uses it. So a training step holds
-only the graph's own tensors.
+input's columns for the weight gradient and writes each band's column
+gradient into that band's own input rows by depth-to-space. Both rely on
+the ``Tensor`` convention that ``data`` is never mutated in place while a
+graph uses it. So a training step holds only the graph's own tensors.
 
 ``conv2d`` and the deformable conv work in bands of rows (``_bands``): im2col
 and GEMM in forward, and the columns, weight gradient and input gradient in
@@ -38,8 +42,8 @@ split output rows; a stride-1 ``conv2d`` backward's bands split input rows,
 and its columns count o*kh*kw per input pixel. So what one op allocates
 beyond its inputs, output and gradients does not grow with the image. Whole
 images share a band while they fit, which leaves small layers in one band.
-``conv2d_transpose`` is not banded: its 2x2 stride-2 columns are the size of
-its output.
+``conv2d_transpose`` is not banded: its columns are the size of its
+output.
 
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
@@ -50,12 +54,11 @@ numpy expressions; the reduction order is fixed (GEMM over the columns,
 kernel positions in row-major order, bands from the first image and row to
 the last), so two runs on identical inputs produce bit-identical results.
 Weight-gradient partials are summed band by band in that order, so a
-gradient may differ in the last bits from an unbanded sum. A stride-1
-``conv2d`` writes each input-gradient row once; only strided convs sum the
-overlapping halo rows of their bands. Splitting the GEMM's columns into
-bands leaves each output element's dot product alone, but OpenBLAS may
-round a narrow column block otherwise than the same columns inside a wide
-one; forwards of the stock model at 160x240 and 320x480 matched the
+gradient may differ in the last bits from an unbanded sum. Every
+``conv2d`` backward writes each input-gradient row once. Splitting the
+GEMM's columns into bands leaves each output element's dot product alone,
+but OpenBLAS may round a narrow column block otherwise than the same
+columns inside a wide one; forwards of the stock model at 160x240 and 320x480 matched the
 unbanded ones bit for bit. The deformable conv's channels-last GEMM sums a
 pixel's products in (tap, channel) order, ``conv2d``'s in (channel, tap)
 order, so with zero offsets and unit masks the two (acceptance criterion 1)
@@ -178,50 +181,37 @@ def conv_output_size(size: int, k: int, stride: int, dilation: int, pad: int) ->
     return (size + 2 * pad - dilation * (k - 1) - 1) // stride + 1
 
 
-def _windows(kh: int, kw: int, out_h: int, out_w: int, stride, dilation):
-    """Yield (tap, index) per kernel position, row-major; ``index`` selects
-    the out_h x out_w pixels of a padded (n, c, H, W) array that tap reads."""
-    sh, sw = stride
-    dh, dw = dilation
-    for ki in range(kh):
-        for kj in range(kw):
-            yield ki * kw + kj, (
-                Ellipsis,
-                slice(ki * dh, ki * dh + sh * (out_h - 1) + 1, sh),
-                slice(kj * dw, kj * dw + sw * (out_w - 1) + 1, sw))
-
-
-def _span(start: int, step: int, count: int, size: int) -> tuple[int, int]:
-    """The outputs [i0, i1) of ``count`` whose index start + i*step lies in
+def _span(start: int, count: int, size: int) -> tuple[int, int]:
+    """The outputs [i0, i1) of ``count`` whose index start + i lies in
     [0, size)."""
-    i0 = min(count, max(0, -(start // step)))
-    return i0, max(i0, min(count, (size - 1 - start) // step + 1))
+    i0 = min(count, max(0, -start))
+    return i0, max(i0, min(count, size - start))
 
 
 def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
-            stride, dilation, origin=(0, 0)) -> np.ndarray:
-    """Columns (n, c*kh*kw, out_h*out_w) of a window of a, ready for a GEMM.
+            dilation, origin=(0, 0)) -> np.ndarray:
+    """Stride-1 columns (n, c*kh*kw, out_h*out_w) of a window of a, ready
+    for a GEMM.
 
-    Output pixel (i, j) of tap (ki, kj) reads a[:, :, r + ki*dh + i*sh,
-    q + kj*dw + j*sw] with (r, q) = ``origin``, and 0 wherever that falls
+    Output pixel (i, j) of tap (ki, kj) reads a[:, :, r + ki*dh + i,
+    q + kj*dw + j] with (r, q) = ``origin``, and 0 wherever that falls
     outside a: the window may start before a (a negative origin pads it
     with zeros) and end before or after it, with no padded copy of a.
     Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``. The columns of
-    a 1x1 stride-1 kernel over whole rows of a are a view of a.
+    a 1x1 kernel over whole rows of a are a view of a.
     """
     n, c, h, w = a.shape
-    (sh, sw), (dh, dw) = stride, dilation
+    dh, dw = dilation
     r0, q0 = origin
-    if ((kh, kw, sh, sw, q0, out_w) == (1, 1, 1, 1, 0, w)
-            and 0 <= r0 <= h - out_h):
+    if (kh, kw, q0, out_w) == (1, 1, 0, w) and 0 <= r0 <= h - out_h:
         return a[:, :, r0: r0 + out_h].reshape(n, c, out_h * w)
     cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=a.dtype)
     for ki in range(kh):
         r = r0 + ki * dh
-        i0, i1 = _span(r, sh, out_h, h)
+        i0, i1 = _span(r, out_h, h)
         for kj in range(kw):
             q = q0 + kj * dw
-            j0, j1 = _span(q, sw, out_w, w)
+            j0, j1 = _span(q, out_w, w)
             col = cols[:, :, ki * kw + kj]
             # zero the margins the window reads outside a, then copy the rest
             if i0 or i1 < out_h:
@@ -231,26 +221,35 @@ def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
                 col[:, :, i0:i1, :j0] = 0
                 col[:, :, i0:i1, j1:] = 0
             if i0 < i1 and j0 < j1:
-                col[:, :, i0:i1, j0:j1] = a[
-                    :, :, r + i0 * sh: r + (i1 - 1) * sh + 1: sh,
-                    q + j0 * sw: q + (j1 - 1) * sw + 1: sw]
+                col[:, :, i0:i1, j0:j1] = a[:, :, r + i0: r + i1,
+                                            q + j0: q + j1]
     return cols.reshape(n, c * kh * kw, out_h * out_w)
 
 
-def _col2im(cols: np.ndarray, shape, kh: int, kw: int, out_h: int, out_w: int,
-            stride, dilation) -> np.ndarray:
-    """Sum columns back into a padded array of ``shape``: the adjoint of
-    ``_im2col`` at origin (0, 0)."""
-    n, c = shape[:2]
-    cols = cols.reshape(n, c, kh * kw, out_h, out_w)
-    out = np.zeros(shape, dtype=cols.dtype)
-    for tap, idx in _windows(kh, kw, out_h, out_w, stride, dilation):
-        out[idx] += cols[:, :, tap]
+def _space_to_depth(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Columns (n, c*kh*kw, (h//kh)*(w//kw)) of a's whole kh x kw blocks,
+    row c*kh*kw + tap as in ``_im2col``: a conv whose stride is its kernel."""
+    n, c, h, w = a.shape
+    oh, ow = h // kh, w // kw
+    blocks = a[:, :, :oh * kh, :ow * kw].reshape(n, c, oh, kh, ow, kw)
+    return blocks.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * kh * kw, oh * ow)
+
+
+def _depth_to_space(cols: np.ndarray, out: np.ndarray, kh: int,
+                    kw: int) -> np.ndarray:
+    """Write columns into out's whole kh x kw blocks, one slice per tap and
+    nothing summed: the adjoint of ``_space_to_depth``. Returns out."""
+    n, c, h, w = out.shape
+    oh, ow = h // kh, w // kw
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    for ki in range(kh):
+        for kj in range(kw):
+            out[:, :, ki: oh * kh: kh, kj: ow * kw: kw] = cols[:, :, ki, kj]
     return out
 
 
 # Most bytes one band's columns may take. Convolutions build their columns,
-# run their GEMMs and scatter their column gradients band by band, so what
+# run their GEMMs and write their column gradients band by band, so what
 # one op allocates stays near this size whatever the image size. 16 MiB
 # keeps every deformable conv of a batch-4, patch-64 training step in one
 # band (the largest, the backward of a 4x8x64x64 one, counts 16.4 MB of
@@ -282,18 +281,6 @@ def _bands(n: int, rows: int, row_bytes: int):
                 yield slice(i, i + 1), r0, min(rows, r0 + per_band)
 
 
-def _band_rows(r0: int, r1: int, kh: int, stride, dilation) -> tuple[int, int]:
-    """Padded input rows [p0, p1) that output rows [r0, r1) read."""
-    return r0 * stride[0], (r1 - 1) * stride[0] + dilation[0] * (kh - 1) + 1
-
-
-def _inside(p0: int, p1: int, ph: int, h: int) -> tuple[slice, slice]:
-    """The input rows among padded rows [p0, p1), and their place there."""
-    lo = max(p0 - ph, 0)
-    hi = max(min(p1 - ph, h), lo)
-    return slice(lo, hi), slice(lo - p0 + ph, hi - p0 + ph)
-
-
 def _weight_grad(gy: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum over the batch of gy[i] @ cols[i].T: (n, o, L), (n, K, L) -> (o, K).
 
@@ -311,6 +298,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """2-D cross-correlation with zero padding.
 
     weight: (out_c, in_c, kh, kw); bias: (1, out_c, 1, 1) or None.
+    A stride other than 1 must equal the kernel, with padding 0 and
+    dilation 1 (non-overlapping blocks, the 2x2 down conv).
     Differentiable w.r.t. x, weight and bias.
     """
     n, c, h, w = x.shape
@@ -320,6 +309,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d channel mismatch: input shape {x.shape} has {c} channels, "
             f"weight shape {weight.shape} expects {ci}"
         )
+    strided = tuple(stride) != (1, 1)
+    if strided and (tuple(stride), tuple(dilation), tuple(padding)) != (
+            (kh, kw), (1, 1), (0, 0)):
+        raise ConfigurationError(
+            f"strided conv2d needs stride == kernel, dilation 1, padding 0; "
+            f"got stride {stride}, kernel {kh}x{kw}, dilation {dilation}, "
+            f"padding {padding}")
     ph, pw = padding
     out_h = conv_output_size(h, kh, stride[0], dilation[0], ph)
     out_w = conv_output_size(w, kw, stride[1], dilation[1], pw)
@@ -332,8 +328,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     dh, dw = dilation
 
     def band_cols(images, r0, r1):
-        return _im2col(x.data[images], kh, kw, r1 - r0, out_w, stride,
-                       dilation, (r0 * stride[0] - ph, -pw))
+        if strided:
+            return _space_to_depth(x.data[images, :, r0 * kh: r1 * kh], kh, kw)
+        return _im2col(x.data[images], kh, kw, r1 - r0, out_w, dilation,
+                       (r0 - ph, -pw))
 
     w2 = weight.data.reshape(o, -1)
     y = np.empty((n, o, out_h * out_w), dtype=np.result_type(w2, x.data))
@@ -364,7 +362,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         # the band's gx rows are written once; the weight partials add up
         # band by band in a fixed order
         for images, r0, r1 in _bands(n, h, o * kh * kw * w * gy.itemsize):
-            cols = _im2col(gy[images], kh, kw, r1 - r0, w, (1, 1), dilation,
+            cols = _im2col(gy[images], kh, kw, r1 - r0, w, dilation,
                            (origin[0] + r0, origin[1]))
             band = slice(r0 * w, r1 * w)
             if gx is not None:
@@ -379,16 +377,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         return gx, gwf
 
     def backward_strided(gy):
-        """Rebuilt input columns for the weight gradient; column gradients
-        scattered back by ``_col2im``, halo rows summed band by band."""
+        """Input columns rebuilt for the weight gradient; each band's column
+        gradient written to its own gx rows by depth-to-space."""
         gy2 = gy.reshape(n, o, -1)
         w2 = weight.data.reshape(o, -1)
         gw = (np.zeros(weight.shape, np.result_type(gy, x.data))
               if weight.requires_grad else None)
         gx = (np.zeros(x.shape, np.result_type(w2, gy))
               if x.requires_grad else None)
-        # bands run in a fixed order, so the weight-gradient partials and
-        # the overlapping halo rows of gx add up the same every run
+        # the weight-gradient partials add up band by band in a fixed order
         for images, r0, r1 in _bands(n, out_h, row_bytes):
             gyb = gy2[images, :, r0 * out_w: r1 * out_w]
             if gw is not None:
@@ -397,12 +394,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 gw += _weight_grad(gyb, band_cols(images, r0, r1)).reshape(
                     weight.shape)
             if gx is not None:
-                p0, p1 = _band_rows(r0, r1, kh, stride, dilation)
-                gxp = _col2im(w2.T @ gyb,
-                              (gyb.shape[0], c, p1 - p0, w + 2 * pw),
-                              kh, kw, r1 - r0, out_w, stride, dilation)
-                rows, at = _inside(p0, p1, ph, h)
-                gx[images, :, rows] += gxp[:, :, at, pw: pw + w]
+                _depth_to_space(w2.T @ gyb, gx[images, :, r0 * kh: r1 * kh],
+                                kh, kw)
         return gx, gw
 
     def make_backward(out: Tensor):
@@ -410,8 +403,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gy = out.grad
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(gy))
-            gx, gw = (backward_stride1 if tuple(stride) == (1, 1)
-                      else backward_strided)(gy)
+            gx, gw = (backward_strided if strided else backward_stride1)(gy)
             if gw is not None:
                 weight.accumulate_grad(gw)
             if gx is not None:
@@ -426,9 +418,9 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """Transposed (fractionally strided) convolution, zero output padding.
 
     weight: (out_c, in_c, kh, kw) where in_c matches the input channels.
-    Output spatial size is (in - 1) * stride + k per axis; for the network's
-    2x2 stride-2 use this is exactly input * 2. It is the adjoint of conv2d
-    with the channel axes of the same kernel swapped.
+    The stride must equal the kernel (non-overlapping blocks, the 2x2 up
+    conv), so the output is the input times the stride per axis. It is the
+    adjoint of conv2d with the channel axes of the same kernel swapped.
     """
     n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
@@ -437,11 +429,15 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d_transpose channel mismatch: input shape {x.shape} has {c} "
             f"channels, weight shape {weight.shape} expects {ci}"
         )
-    out_shape = (n, o, (h - 1) * stride[0] + kh, (w - 1) * stride[1] + kw)
+    if tuple(stride) != (kh, kw):
+        raise ConfigurationError(
+            f"conv2d_transpose needs a stride equal to its kernel, got stride "
+            f"{tuple(stride)} and kernel {kh}x{kw}")
     # the adjoint conv2d's (in_c, out_c * kh * kw) weight matrix
     w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
-    x2 = x.data.reshape(n, c, h * w)
-    y = _col2im(w2.T @ x2, out_shape, kh, kw, h, w, stride, (1, 1))
+    cols = w2.T @ x.data.reshape(n, c, h * w)
+    y = _depth_to_space(cols, np.empty((n, o, h * kh, w * kw), cols.dtype),
+                        kh, kw)
     if bias is not None:
         y += bias.data
 
@@ -452,7 +448,7 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gy = out.grad
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_bias_grad(gy))
-            gcols = _im2col(gy, kh, kw, h, w, stride, (1, 1))
+            gcols = _space_to_depth(gy, kh, kw)
             if x.requires_grad:
                 w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
                 x.accumulate_grad((w2 @ gcols).reshape(x.shape))

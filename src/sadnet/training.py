@@ -53,6 +53,8 @@ class TrainConfig:
                 f"patch_size {self.patch_size} must be divisible by {div}")
         if self.loss_kind not in ("L1", "L2"):
             raise UsageError(f"loss_kind must be L1 or L2, got {self.loss_kind}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
 
 
 def _field_types(cls) -> dict:

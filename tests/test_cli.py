@@ -68,6 +68,17 @@ class TestInspect:
         assert f1["params"] == f2["params"]
         assert int(f1["flops"]) < int(f2["flops"])
 
+    def test_prints_every_model_field(self, capsys, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("leaky_slope = 0.05\n")
+        _, default, _ = run(capsys, "inspect")
+        code, out, _ = run(capsys, "inspect", "--config", str(cfg))
+        assert code == 0
+        assert out != default
+        fields = dict(line.split("\t") for line in out.splitlines())
+        assert fields["leaky_slope"] == "0.05"
+        assert fields["in_channels"] == "3"
+
     def test_non_positive_size_is_usage_error(self, capsys):
         for flag in ("--height", "--width"):
             code, out, err = run(capsys, "inspect", flag, "0")
@@ -131,6 +142,36 @@ class TestPipeline:
         assert "ckpt_final.sadn" in err
         assert (tmp_path / "ckpt" / "ckpt_final.sadn").exists()
         assert len(out.splitlines()) == 2  # iterations 2 and 4 logged
+
+
+class TestNegativeSeed:
+    def test_train_config_seed(self, capsys, tmp_path, corpus):
+        noisy_dir = tmp_path / "noisy"
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(noisy_dir), "--sigma", "25")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+            "patch_size = 16\nbatch_size = 2\nmax_iters = 1\nseed = -1\n"
+            f"manifest = {noisy_dir / 'manifest.tsv'}\n"
+            f"checkpoint_dir = {tmp_path / 'ckpt'}\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_make_noisy_seed(self, capsys, tmp_path, corpus):
+        noisy_dir = tmp_path / "noisy"
+        code, out, err = run(capsys, "make-noisy", "--in-dir", str(corpus),
+                             "--out-dir", str(noisy_dir), "--sigma", "25",
+                             "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+        assert not noisy_dir.exists()
 
 
 class TestExportOffsets:

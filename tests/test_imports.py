@@ -1,0 +1,29 @@
+"""The runtime depends on numpy and the standard library only."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "sadnet").glob("*.py"))
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_sources_found():
+    assert any(p.name == "tensor.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_numpy_or_stdlib(path):
+    foreign = [name for name in _absolute_imports(path)
+               if name.split(".")[0] != "numpy"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

@@ -216,7 +216,8 @@ class TestSADNet:
         with pytest.raises(ConfigurationError):
             ModelConfig(channels_per_scale=(32, 64, 128, 250)).validate()
         for bad in (dict(kernel_size=4), dict(kernel_size=0),
-                    dict(updown_kernel=0), dict(context_compression=0),
+                    dict(updown_kernel=0), dict(updown_kernel=1),
+                    dict(updown_kernel=3), dict(context_compression=0),
                     dict(context_dilations=(1, 0, 3, 4))):
             with pytest.raises(ConfigurationError):
                 ModelConfig(**bad).validate()

@@ -52,6 +52,16 @@ class TestConv2d:
         with pytest.raises(ConfigurationError, match="empty"):
             T.conv2d(x, w)
 
+    @pytest.mark.parametrize("k,dilation,padding", [
+        (3, (1, 1), (0, 0)), (1, (1, 1), (0, 0)), (2, (1, 1), (1, 1)),
+        (2, (2, 2), (0, 0))])
+    def test_strided_needs_non_overlapping_blocks(self, rng, k, dilation,
+                                                  padding):
+        x = Tensor(rng.standard_normal((1, 2, 8, 8)))
+        w = Tensor(rng.standard_normal((3, 2, k, k)))
+        with pytest.raises(ConfigurationError, match="stride == kernel"):
+            T.conv2d(x, w, stride=(2, 2), dilation=dilation, padding=padding)
+
     def test_linearity_in_input(self, rng):
         x = rng.standard_normal((1, 2, 6, 6))
         z = rng.standard_normal((1, 2, 6, 6))
@@ -73,6 +83,8 @@ class TestConv2d:
         stride = data.draw(st.integers(1, 2))
         dil = data.draw(st.integers(1, 4))
         pad = data.draw(st.integers(0, 4))
+        if stride > 1:  # strided convs are non-overlapping blocks
+            k, dil, pad = stride, 1, 0
         span = dil * (k - 1) + 1
         lo = max(1, span - 2 * pad)  # up to 9 when k=3, dil=4, pad=0
         h = data.draw(st.integers(lo, max(lo, 8)))
@@ -108,6 +120,8 @@ class TestConv2d:
     def test_property_gradients_match_reference(self, seed, n, c, o, kh, kw,
                                                 sh, sw, dh, dw, ph, pw, h,
                                                 w_dim):
+        if (sh, sw) != (1, 1):  # strided convs are non-overlapping blocks
+            kh, kw, dh, dw, ph, pw = sh, sw, 1, 1, 0, 0
         out_h = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
         out_w = (w_dim + 2 * pw - dw * (kw - 1) - 1) // sw + 1
         assume(out_h >= 1 and out_w >= 1)
@@ -155,13 +169,11 @@ class TestConvTranspose:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_property_matches_reference(self, data):
-        # k > stride overlaps neighbouring taps in the output
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         n = data.draw(st.integers(1, 2))
         c = data.draw(st.integers(1, 3))
         o = data.draw(st.integers(1, 3))
-        k = data.draw(st.integers(1, 3))
-        stride = data.draw(st.integers(1, 3))
+        k = stride = data.draw(st.integers(1, 3))
         h = data.draw(st.integers(1, 5))
         w_dim = data.draw(st.integers(1, 5))
         x = rng.standard_normal((n, c, h, w_dim))
@@ -177,6 +189,14 @@ class TestConvTranspose:
         w = Tensor(rng.standard_normal((1, 3, 2, 2)))
         with pytest.raises(ConfigurationError, match="mismatch"):
             T.conv2d_transpose(x, w)
+
+    @pytest.mark.parametrize("k,stride", [(3, (2, 2)), (2, (1, 1)),
+                                          (2, (2, 1))])
+    def test_stride_must_equal_kernel(self, rng, k, stride):
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        w = Tensor(rng.standard_normal((3, 2, k, k)))
+        with pytest.raises(ConfigurationError, match="stride equal"):
+            T.conv2d_transpose(x, w, stride=stride)
 
     def test_input_gradient_is_conv2d(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
@@ -209,12 +229,13 @@ class TestForwardKeepsNoColumns:
     """Backward builds its own columns, so forward leaves only its output."""
 
     @pytest.mark.parametrize("stride,dilation,padding", [
-        ((1, 1), (1, 1), (1, 1)), ((2, 2), (1, 1), (1, 1)),
+        ((1, 1), (1, 1), (1, 1)), ((2, 2), (1, 1), (0, 0)),
         ((1, 1), (2, 2), (2, 2))])
     def test_conv2d(self, rng, stride, dilation, padding):
+        k = 3 if stride == (1, 1) else stride[0]  # strided: 2x2 blocks
         x = Tensor(rng.standard_normal((2, 16, 64, 64)).astype(np.float32),
                    requires_grad=True)
-        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32),
+        w = Tensor(rng.standard_normal((16, 16, k, k)).astype(np.float32),
                    requires_grad=True)
         b = Tensor(np.zeros((1, 16, 1, 1), np.float32), requires_grad=True)
         grown, out = _forward_growth(lambda: T.conv2d(
@@ -288,14 +309,14 @@ class TestBands:
     whose output may be smaller ("shrinking") or larger ("growing") than
     its input; a 1x1 kernel ("pointwise") reads its rows in place. The
     forward and every gradient match the single-band run to
-    1e-6 of their largest element: weight partials, and a strided conv's
-    halo rows, are summed in another order, and OpenBLAS may round a narrow
-    GEMM block (17 columns here) otherwise than the same columns inside a
-    wide one. Banded runs repeat exactly.
+    1e-6 of their largest element: weight partials are summed in another
+    order, and OpenBLAS may round a narrow GEMM block (17 columns here)
+    otherwise than the same columns inside a wide one. Banded runs repeat
+    exactly.
     """
 
     CASES = {"stride1": ((1, 1), (1, 1), (1, 1)),
-             "stride2": ((2, 2), (1, 1), (1, 1)),
+             "stride2": ((2, 2), (1, 1), (0, 0), 2),
              "dilated": ((1, 1), (2, 2), (2, 2)),
              "shrinking": ((1, 1), (2, 2), (1, 1)),
              "growing": ((1, 1), (1, 1), (3, 3)),
