@@ -9,6 +9,7 @@ reproduces bit-identically across runs and platforms.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -145,8 +146,8 @@ def from_tensor(t: Tensor) -> ImageBuffer:
 
 def add_awgn(image: Tensor, spec: NoiseSpec) -> Tensor:
     """Add i.i.d. Gaussian noise with std sigma/255; never clipped here."""
-    if spec.sigma < 0:
-        raise UsageError(f"negative sigma {spec.sigma}")
+    if not math.isfinite(spec.sigma) or spec.sigma < 0:
+        raise UsageError(f"sigma must be finite and non-negative, got {spec.sigma}")
     if spec.sigma == 0:
         return Tensor(image.data.copy())
     rng = make_rng(spec.seed)
@@ -204,10 +205,13 @@ def read_manifest(path) -> list[ManifestEntry]:
                         f"{path}:{lineno}: expected 4 tab-separated fields, "
                         f"got {len(parts)}")
                 try:
-                    entries.append(ManifestEntry(
-                        parts[0], parts[1], float(parts[2]), int(parts[3])))
+                    sigma, seed = float(parts[2]), int(parts[3])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from exc
+                if not math.isfinite(sigma) or sigma < 0:
+                    raise DataError(f"{path}:{lineno}: sigma must be finite "
+                                    f"and non-negative, got {parts[2]}")
+                entries.append(ManifestEntry(parts[0], parts[1], sigma, seed))
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     return entries

@@ -481,7 +481,10 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    # exp overflows to inf for logits below about -88 (float32); 1/inf is the
+    # right 0, so the overflow is not worth a warning
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
 
     def make_backward(out: Tensor):
         def _backward():

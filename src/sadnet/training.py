@@ -18,8 +18,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (Checkpoint, load_checkpoint, require_config_match,
                          save_checkpoint)
-from .data import (augment, from_tensor, load_image, make_rng, read_manifest,
-                   save_image, to_tensor)
+from .data import (ImageBuffer, augment, from_tensor, load_image, make_rng,
+                   read_manifest, save_image, to_tensor)
 from .errors import DataError, NumericError, UsageError
 from .metrics import MetricReport, psnr, ssim
 from .model import ModelConfig, SADNet, denoise_tensor
@@ -105,19 +105,54 @@ def lr_schedule(iteration: int, config: TrainConfig) -> float:
 
 
 def _load_training_set(config: TrainConfig):
+    """The corpus as 8-bit buffers; ``sample_batch`` dequantizes patches only.
+
+    Every image must be large enough for a patch and have the model's
+    channel count, and the manifest must list at least one image.
+    """
     entries = read_manifest(config.manifest)
+    if not entries:
+        raise DataError(f"training manifest {config.manifest} lists no images")
     missing = [e.clean_path for e in entries if not os.path.exists(e.clean_path)]
     if missing:
         raise DataError("missing training images: " + ", ".join(missing))
-    images = [to_tensor(load_image(e.clean_path), dtype=np.float32)
-              for e in entries]
+    images = [load_image(e.clean_path) for e in entries]
+    want = config.model.in_channels
+    wrong = [f"{e.clean_path} has {img.channels} channels"
+             for e, img in zip(entries, images) if img.channels != want]
+    if wrong:
+        raise DataError(", ".join(wrong) + f"; model expects {want}")
     for e, img in zip(entries, images):
-        _, _, h, w = img.shape
-        if h < config.patch_size or w < config.patch_size:
+        if img.height < config.patch_size or img.width < config.patch_size:
             raise DataError(
-                f"{e.clean_path}: image {h}x{w} smaller than patch size "
-                f"{config.patch_size}")
+                f"{e.clean_path}: image {img.height}x{img.width} smaller than "
+                f"patch size {config.patch_size}")
     return entries, images
+
+
+def sample_batch(rng, entries, images, batch_size: int, patch_size: int):
+    """One batch of (noisy, clean) float32 patches, each (n, c, p, p).
+
+    Per patch, in this order: image index, top, left, augment code, noise.
+    The 8-bit crop is dequantized alone; ``to_tensor`` is elementwise, so
+    the patch equals the same crop of the whole dequantized image.
+    """
+    ps = patch_size
+    clean_parts, noisy_parts = [], []
+    for _ in range(batch_size):
+        ei = int(rng.integers(0, len(entries)))
+        img = images[ei]
+        top = int(rng.integers(0, img.height - ps + 1))
+        left = int(rng.integers(0, img.width - ps + 1))
+        crop = img.samples[top:top + ps, left:left + ps]
+        patch = to_tensor(ImageBuffer(ps, ps, img.channels, crop),
+                          dtype=np.float32)
+        patch = augment(patch, int(rng.integers(0, 8)))
+        sigma = entries[ei].sigma
+        noise = rng.normal(0.0, sigma / 255.0, patch.shape).astype(np.float32)
+        clean_parts.append(patch.data)
+        noisy_parts.append(patch.data + noise)
+    return np.concatenate(noisy_parts, axis=0), np.concatenate(clean_parts, axis=0)
 
 
 def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, Checkpoint]:
@@ -141,7 +176,6 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
         rng = make_rng(config.seed)
 
     params = model.params()
-    ps = config.patch_size
     t0 = time.monotonic()
 
     def emit(line: str) -> None:
@@ -162,21 +196,9 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
     final_path = os.path.join(config.checkpoint_dir, "ckpt_final.sadn")
     for it in range(start, config.max_iters):
         lr = lr_schedule(it, config)
-        clean_parts, noisy_parts = [], []
-        for _ in range(config.batch_size):
-            ei = int(rng.integers(0, len(entries)))
-            img = images[ei]
-            _, _, h, w = img.shape
-            top = int(rng.integers(0, h - ps + 1))
-            left = int(rng.integers(0, w - ps + 1))
-            patch = Tensor(img.data[:, :, top:top + ps, left:left + ps].copy())
-            patch = augment(patch, int(rng.integers(0, 8)))
-            sigma = entries[ei].sigma
-            noise = rng.normal(0.0, sigma / 255.0, patch.shape).astype(np.float32)
-            clean_parts.append(patch.data)
-            noisy_parts.append(patch.data + noise)
-        x = Tensor(np.concatenate(noisy_parts, axis=0))
-        target = Tensor(np.concatenate(clean_parts, axis=0))
+        noisy, clean = sample_batch(rng, entries, images, config.batch_size,
+                                    config.patch_size)
+        x, target = Tensor(noisy), Tensor(clean)
         pred = model(x)
         loss = T.loss(config.loss_kind, pred, target)
         loss_value = loss.item()

@@ -228,3 +228,38 @@ def bilinear_upsample_reference(x):
                                + ty * (1 - tx) * x[:, :, y1c, x0c]
                                + ty * tx * x[:, :, y1c, x1c])
     return y
+
+
+def sample_batch_reference(rng, images, sigmas, batch_size, patch_size):
+    """Training patches drawn the way the float32 corpus drew them.
+
+    ``images`` are (h, w, c) uint8 arrays. Each whole image is dequantized
+    first, then cropped; the dihedral transform is written out as index
+    maps (a horizontal flip for codes >= 4, then code % 4 counter-clockwise
+    quarter turns, each a transpose followed by reversing the rows).
+    Returns (noisy, clean, codes) with the same draw order as training:
+    image index, top, left, augment code, noise.
+    """
+    ps = patch_size
+    clean_parts, noisy_parts, codes = [], [], []
+    for _ in range(batch_size):
+        ei = int(rng.integers(0, len(images)))
+        h, w, _ = images[ei].shape
+        whole = (images[ei].astype(np.float32) / 255.0).transpose(2, 0, 1)
+        top = int(rng.integers(0, h - ps + 1))
+        left = int(rng.integers(0, w - ps + 1))
+        patch = whole[:, top:top + ps, left:left + ps]
+        code = int(rng.integers(0, 8))
+        rows, cols = np.mgrid[0:ps, 0:ps]
+        if code >= 4:
+            cols = cols[:, ::-1]
+        for _ in range(code % 4):
+            rows, cols = rows.T[::-1], cols.T[::-1]
+        patch = patch[:, rows, cols][None]
+        noise = rng.normal(0.0, sigmas[ei] / 255.0,
+                           patch.shape).astype(np.float32)
+        clean_parts.append(patch)
+        noisy_parts.append(patch + noise)
+        codes.append(code)
+    return (np.concatenate(noisy_parts, axis=0),
+            np.concatenate(clean_parts, axis=0), codes)

@@ -174,6 +174,54 @@ class TestNegativeSeed:
         assert not noisy_dir.exists()
 
 
+class TestBadSigma:
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_make_noisy_sigma(self, capsys, tmp_path, corpus, sigma):
+        code, out, err = run(capsys, "make-noisy", "--in-dir", str(corpus),
+                             "--out-dir", str(tmp_path / "noisy"),
+                             "--sigma", sigma)
+        assert code == 1
+        assert out == ""
+        assert "sigma must be finite and non-negative" in err
+        assert "Traceback" not in err
+
+
+class TestTrainCorpusErrors:
+    """A corpus the model cannot train on is exit 2 before any step."""
+
+    def train(self, capsys, tmp_path, manifest_lines):
+        manifest = tmp_path / "train.tsv"
+        manifest.write_text("".join(manifest_lines))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "in_channels = 3\nscales = 2\nchannels_per_scale = 4,8\n"
+            "patch_size = 16\nbatch_size = 2\nmax_iters = 1\n"
+            f"manifest = {manifest}\ncheckpoint_dir = {tmp_path / 'ckpt'}\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert not (tmp_path / "ckpt").exists()
+        return err
+
+    def test_empty_manifest(self, capsys, tmp_path):
+        err = self.train(capsys, tmp_path, [])
+        assert "train.tsv lists no images" in err
+
+    def test_grayscale_image_for_colour_model(self, capsys, rng, tmp_path):
+        rgb = random_image(rng, tmp_path / "a.ppm", 20, 24, channels=3)
+        grey = random_image(rng, tmp_path / "b.pgm", 24, 20)
+        err = self.train(capsys, tmp_path, [f"{rgb}\t{rgb}\t25\t0\n",
+                                             f"{grey}\t{grey}\t25\t1\n"])
+        assert f"{grey} has 1 channels; model expects 3" in err
+        assert "a.ppm" not in err
+
+    def test_negative_sigma(self, capsys, rng, tmp_path):
+        rgb = random_image(rng, tmp_path / "a.ppm", 20, 24, channels=3)
+        err = self.train(capsys, tmp_path, [f"{rgb}\t{rgb}\t-25\t0\n"])
+        assert "train.tsv:1: sigma must be finite and non-negative" in err
+
+
 class TestExportOffsets:
     def test_points_below_one_is_usage_error(self, capsys, tmp_path,
                                              micro_ckpt, corpus):

@@ -88,6 +88,11 @@ class TestAWGN:
         with pytest.raises(UsageError, match="sigma"):
             add_awgn(Tensor(rng.random((1, 1, 4, 4))), NoiseSpec(-1.0, 0))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, rng, sigma):
+        with pytest.raises(UsageError, match="sigma must be finite"):
+            add_awgn(Tensor(rng.random((1, 1, 4, 4))), NoiseSpec(sigma, 0))
+
     def test_noise_statistics_sigma_50(self):
         x = Tensor(np.full((1, 1, 500, 500), 0.5))
         y = add_awgn(x, NoiseSpec(50.0, 7))
@@ -182,6 +187,15 @@ class TestManifest:
             path.write_text("a\tb\t25\t1\n" + line)
             with pytest.raises(DataError, match=r"bad\.tsv:2: .*'(low|x1)'"):
                 read_manifest(path)
+
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf", "-inf"])
+    def test_sigma_must_be_finite_and_non_negative(self, tmp_path, sigma):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\t0\t1\na\tb\t{sigma}\t1\n")
+        with pytest.raises(DataError,
+                           match=rf"bad\.tsv:2: sigma must be finite and "
+                                 rf"non-negative, got {sigma}"):
+            read_manifest(path)
 
     def test_corpus_generation(self, rng, tmp_path):
         in_dir = tmp_path / "clean"

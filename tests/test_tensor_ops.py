@@ -1,6 +1,7 @@
 import gc
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -500,6 +501,18 @@ class TestPointwise:
 
     def test_sigmoid_symmetry(self):
         assert T.sigmoid(Tensor(np.zeros((1, 1, 1, 1)))).item() == 0.5
+
+    def test_sigmoid_saturates_without_warning(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T.sigmoid(Tensor(np.full((1, 1, 1, 2), -1000, np.float32)))
+        assert y.data.tolist() == [[[[0.0, 0.0]]]]
+        # every bit of the plain expression, overflowing logits included
+        x = (rng.standard_normal((1, 3, 40, 40)) * 60).astype(np.float32)
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        assert (x < -88).any()
+        np.testing.assert_array_equal(T.sigmoid(Tensor(x)).data, want)
 
     def test_concat_channel_arithmetic(self, rng):
         a = Tensor(rng.standard_normal((1, 32, 16, 16)))

@@ -9,8 +9,8 @@ import pytest
 
 from sadnet.checkpoint import load_checkpoint
 from sadnet.data import (ImageBuffer, ManifestEntry, NoiseSpec, add_awgn,
-                         from_tensor, load_image, save_image, to_tensor,
-                         write_manifest)
+                         from_tensor, load_image, make_rng, save_image,
+                         to_tensor, write_manifest)
 from sadnet.errors import DataError, NumericError, UsageError
 from sadnet.gradcheck import finite_diff_check
 from sadnet.model import ModelConfig, SADNet
@@ -19,9 +19,11 @@ from sadnet import tensor as T
 from sadnet.metrics import psnr, ssim
 from sadnet.training import (TrainConfig, denoise_image, denoise_tensor,
                              evaluate, load_inference_model, lr_schedule,
-                             parse_train_config, train)
+                             parse_train_config, sample_batch, train)
+from sadnet import training as training_mod
 
 from conftest import synth_buffer
+from oracles import sample_batch_reference
 from test_model import micro_config
 
 
@@ -254,6 +256,105 @@ class TestTrainingLoop:
             train(cfg)
 
 
+class TestTrainingSet:
+    """The corpus stays 8-bit; a bad corpus stops before any step."""
+
+    @staticmethod
+    def write_corpus(tmp_path, rng, shapes):
+        """One image per (height, width, channels); returns the manifest."""
+        entries = []
+        for i, (h, w, c) in enumerate(shapes):
+            path = tmp_path / f"img{i}.{'pgm' if c == 1 else 'ppm'}"
+            samples = rng.integers(0, 256, (h, w, c)).astype(np.uint8)
+            save_image(ImageBuffer(w, h, c, samples), path)
+            entries.append(ManifestEntry(str(path), str(path), 25.0, i))
+        manifest = tmp_path / "train.tsv"
+        write_manifest(entries, manifest)
+        return str(manifest)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_sampler_matches_float32_corpus_oracle(self, rng, channels):
+        shapes = [(24, 40), (37, 19), (19, 19)]
+        images = [ImageBuffer(w, h, channels, rng.integers(
+            0, 256, (h, w, channels)).astype(np.uint8)) for h, w in shapes]
+        entries = [ManifestEntry("", "", sigma, 0)
+                   for sigma in (5.0, 25.0, 50.0)]
+        ours, ref = make_rng(17), make_rng(17)
+        codes = []
+        for _ in range(10):
+            noisy, clean = sample_batch(ours, entries, images, 4, 16)
+            want_noisy, want_clean, batch_codes = sample_batch_reference(
+                ref, [b.samples for b in images],
+                [e.sigma for e in entries], 4, 16)
+            codes += batch_codes
+            assert noisy.dtype == clean.dtype == np.float32
+            assert noisy.shape == (4, channels, 16, 16)
+            np.testing.assert_array_equal(clean, want_clean)
+            np.testing.assert_array_equal(noisy, want_noisy)
+        assert set(codes) == set(range(8))
+        np.testing.assert_equal(ours.bit_generator.state,
+                                ref.bit_generator.state)
+
+    def test_train_keeps_the_corpus_8bit(self, rng, tmp_path, monkeypatch):
+        shapes = [(32, 48, 1), (40, 32, 1), (32, 32, 1)]
+        cfg = tiny_train_config(tmp_path, rng, max_iters=1,
+                                checkpoint_interval=0)
+        cfg.manifest = self.write_corpus(tmp_path, rng, shapes)
+        seen = []
+        sampler = training_mod.sample_batch
+
+        def recorded(rng_, entries, images, *args):
+            seen.append(images)
+            return sampler(rng_, entries, images, *args)
+
+        monkeypatch.setattr(training_mod, "sample_batch", recorded)
+        train(cfg)
+        (images,) = seen
+        assert all(img.samples.dtype == np.uint8 and img.samples.base is None
+                   for img in images)
+        assert (sum(img.samples.nbytes for img in images)
+                == sum(h * w * c for h, w, c in shapes))
+
+    def test_empty_manifest_rejected(self, rng, tmp_path):
+        cfg = tiny_train_config(tmp_path, rng)
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        cfg.manifest = str(empty)
+        with pytest.raises(DataError, match="empty.tsv lists no images"):
+            train(cfg)
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_mixed_channels_rejected_by_name(self, rng, tmp_path):
+        cfg = tiny_train_config(tmp_path, rng)
+        cfg.manifest = self.write_corpus(
+            tmp_path, rng, [(32, 32, 1), (32, 32, 3), (32, 32, 1)])
+        with pytest.raises(DataError,
+                           match=r"img1\.ppm has 3 channels; model expects 1"):
+            train(cfg)
+
+    def test_wrong_channel_count_names_every_file(self, rng, tmp_path):
+        cfg = tiny_train_config(tmp_path, rng)
+        cfg.manifest = self.write_corpus(tmp_path, rng,
+                                         [(32, 32, 3), (32, 32, 3)])
+        with pytest.raises(DataError,
+                           match=r"img0\.ppm has 3 channels, .*img1\.ppm has "
+                                 r"3 channels; model expects 1"):
+            train(cfg)
+
+    @pytest.mark.parametrize("sigma", ["-5", "nan", "inf"])
+    def test_bad_manifest_sigma_rejected_before_any_step(self, rng, tmp_path,
+                                                         sigma):
+        cfg = tiny_train_config(tmp_path, rng)
+        manifest = tmp_path / "train.tsv"
+        lines = manifest.read_text().splitlines()
+        fields_ = lines[1].split("\t")
+        lines[1] = "\t".join(fields_[:2] + [sigma] + fields_[3:])
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"train\.tsv:2: sigma"):
+            train(cfg)
+        assert not (tmp_path / "ckpt").exists()
+
+
 class TestStepMemory:
     def test_memory_per_step_is_bounded(self, rng, tmp_path):
         """Each step frees its graph by reference counting alone.
@@ -451,6 +552,17 @@ class TestEvaluate:
                                       25.0, 0)], manifest)
         with pytest.raises(DataError, match="gone.pgm"):
             evaluate(ck, manifest)
+
+    def test_empty_manifest_is_an_empty_report(self, tmp_path):
+        model = SADNet(micro_config(), rng=np.random.default_rng(2),
+                       dtype=np.float64)
+        from sadnet.checkpoint import save_checkpoint
+        from sadnet.optim import AdamState
+        ck = tmp_path / "m.sadn"
+        save_checkpoint(ck, model, AdamState(), 0)
+        manifest = tmp_path / "eval.tsv"
+        manifest.write_text("")
+        assert evaluate(ck, manifest).names == []
 
 
 class TestGradcheckNegativeControl:
