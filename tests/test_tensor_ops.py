@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sadnet import deform, tensor as T
 from sadnet.deform import modulated_deform_conv2d
 from sadnet.errors import ConfigurationError, UsageError
-from sadnet.model import ModelConfig, SADNet
+from sadnet.model import ModelConfig, SADNet, bilinear_upsample_x2
 from sadnet.tensor import Tensor
 
 from oracles import (conv2d_reference, conv2d_transpose_reference,
@@ -632,3 +632,61 @@ class TestBackward:
             grads.append((x.grad.copy(), w.grad.copy()))
         np.testing.assert_array_equal(grads[0][0], grads[1][0])
         np.testing.assert_array_equal(grads[0][1], grads[1][1])
+
+
+def _traced(op):
+    """op whose output's ``_backward`` is wrapped in a zero-argument function
+    that calls it, as perfbench's tracer does to time every op's backward."""
+    def wrapper(*args, **kwargs):
+        out = op(*args, **kwargs)
+        back = out._backward
+        if back is not None:
+            def timed():
+                back()
+            out._backward = timed
+        return out
+    return wrapper
+
+
+_CONTRACT_CASES = {
+    "conv2d-stride1": (
+        lambda x, w, b: T.conv2d(x, w, b, dilation=(2, 1), padding=(2, 1)),
+        [(2, 3, 6, 5), (4, 3, 3, 3), (1, 4, 1, 1)]),
+    "conv2d-k2s2": (
+        lambda x, w, b: T.conv2d(x, w, b, stride=(2, 2)),
+        [(2, 3, 6, 4), (4, 3, 2, 2), (1, 4, 1, 1)]),
+    "conv2d_transpose": (
+        T.conv2d_transpose, [(2, 3, 3, 2), (4, 3, 2, 2), (1, 4, 1, 1)]),
+    "deform": (
+        lambda *t: modulated_deform_conv2d(*t, (1, 1)),
+        [(2, 3, 5, 4), (2, 3, 3, 3), (1, 2, 1, 1), (2, 18, 5, 4),
+         (2, 9, 5, 4)]),
+    "bilinear_upsample_x2": (bilinear_upsample_x2, [(1, 2, 3, 4)]),
+    "leaky_relu": (T.leaky_relu, [(1, 2, 3, 4)]),
+    "sigmoid": (T.sigmoid, [(1, 2, 3, 4)]),
+    "add": (T.add, [(1, 2, 3, 4), (1, 2, 3, 4)]),
+    "mul": (T.mul, [(1, 2, 3, 4), (1, 2, 3, 4)]),
+    "concat_channels": (T.concat_channels, [(1, 2, 3, 4), (1, 3, 3, 4)]),
+    "slice_channels": (lambda x: T.slice_channels(x, 1, 3), [(1, 4, 3, 4)]),
+    "scale": (lambda x: T.scale(x, 0.5), [(1, 2, 3, 4)]),
+    "tensor_sum": (T.tensor_sum, [(1, 2, 3, 4)]),
+    "loss-L2": (lambda p, t: T.loss("L2", p, t), [(1, 2, 3, 4)] * 2),
+}
+
+
+class TestTracerContract:
+    @pytest.mark.parametrize("case", sorted(_CONTRACT_CASES))
+    def test_wrapped_backward_is_bit_identical(self, rng, case):
+        # every op, then an L1 loss: gradients with each op's _backward
+        # wrapped must equal the unwrapped run's bit for bit
+        op, shapes = _CONTRACT_CASES[case]
+        arrays = [rng.uniform(-1.5, 1.5, s) for s in shapes]
+        grads = []
+        for wrap in (lambda f: f, _traced):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            y = wrap(op)(*tensors)
+            wrap(T.loss)("L1", y, Tensor(np.full(y.shape, 0.25))).backward()
+            grads.append([t.grad for t in tensors])
+        for plain, wrapped in zip(*grads):
+            assert plain is not None
+            np.testing.assert_array_equal(wrapped, plain)
