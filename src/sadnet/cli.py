@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .data import generate_noisy_corpus, write_manifest
@@ -110,9 +111,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_make_noisy(args) -> int:
+    manifest = args.manifest or f"{args.out_dir.rstrip('/')}/manifest.tsv"
+    # the out-dir and its parents are made before the first image; any other
+    # missing directory would fail the manifest after the last one
+    parent = os.path.abspath(os.path.dirname(manifest))
+    if not (os.path.isdir(parent) or os.path.commonpath(
+            [parent, os.path.abspath(args.out_dir)]) == parent):
+        raise DataError(f"cannot write manifest {manifest}: no directory {parent}")
     entries = generate_noisy_corpus(args.in_dir, args.out_dir, args.sigma,
                                     args.seed)
-    manifest = args.manifest or f"{args.out_dir.rstrip('/')}/manifest.tsv"
     write_manifest(entries, manifest)
     print(f"wrote {len(entries)} noisy images; manifest: {manifest}")
     return 0
@@ -136,6 +143,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "eval":
             report = evaluate(args.ckpt, args.manifest)
+            if not report.names:
+                raise DataError(f"eval manifest {args.manifest} lists no images")
             sys.stdout.write(report.to_tsv() if args.tsv else report.to_table())
             return 0
         if args.command == "gradcheck":

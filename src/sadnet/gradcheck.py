@@ -34,24 +34,12 @@ class CheckResult:
         return f"{status}  {self.name:<40s}  worst_rel_err={self.worst_rel_err:.3e}"
 
 
-def _graph_nodes(root: Tensor) -> list[Tensor]:
-    """Every tensor reachable from root; call before backward() consumes it."""
-    seen = {id(root)}
-    nodes = [root]
-    for node in nodes:
-        for p in node._prev:
-            if id(p) not in seen:
-                seen.add(id(p))
-                nodes.append(p)
-    return nodes
-
-
 def finite_diff_check(name: str, build, tensors: list[Tensor],
                       max_elements: int = 6, seed: int = 0,
                       h: float = H_STEP) -> CheckResult:
     """Check d(build())/d(tensor) for a sample of elements of each tensor."""
     out = build()
-    nodes = _graph_nodes(out)
+    nodes = T._graph(out)  # before backward() consumes the graph
     leaves = [t for t in nodes if t.requires_grad and not t._prev]
     out.backward()
     grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)

@@ -126,9 +126,6 @@ class _Conv:
         self.bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
         self.macs = 0
 
-    def params(self, prefix):
-        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
-
 
 class Conv2d(_Conv):
     def __init__(self, rng, in_c, out_c, k, stride=1, padding=0, dilation=1,
@@ -185,9 +182,6 @@ class ResBlock:
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(x, self.conv2(T.leaky_relu(self.conv1(x), self.slope)))
 
-    def params(self, prefix):
-        return self.conv1.params(prefix + ".conv1") + self.conv2.params(prefix + ".conv2")
-
 
 class RSAB:
     """Residual spatial-adaptive block: deformable conv replaces the first conv."""
@@ -200,9 +194,6 @@ class RSAB:
     def __call__(self, x, offsets, masks):
         h = self.dconv(x, offsets, masks)
         return T.add(x, self.conv2(T.leaky_relu(h, self.slope)))
-
-    def params(self, prefix):
-        return self.dconv.params(prefix + ".dconv") + self.conv2.params(prefix + ".conv2")
 
 
 def upsample_offsets(offsets: Tensor, masks: Tensor) -> tuple[Tensor, Tensor]:
@@ -278,9 +269,6 @@ class OffsetTransfer:
         masks = T.sigmoid(T.slice_channels(raw, k2, 3 * self.k_taps))
         return offsets, masks
 
-    def params(self, prefix):
-        return self.conv1.params(prefix + ".conv1") + self.head.params(prefix + ".head")
-
 
 class ContextBlock:
     """Parallel dilated 3x3 convolutions over channel-compressed features.
@@ -308,15 +296,9 @@ class ContextBlock:
         outs = [T.leaky_relu(b(f), self.slope) for b in self.branches]
         return T.add(x, self.fuse(T.concat_channels(*outs)))
 
-    def params(self, prefix):
-        out = self.compress.params(prefix + ".compress")
-        for i, b in enumerate(self.branches):
-            out += b.params(f"{prefix}.branch{i}")
-        return out + self.fuse.params(prefix + ".fuse")
-
 
 class SADNet:
-    """The full network; construction order fixes parameter ordering.
+    """The full network; construction order fixes the RNG draw order.
 
     ``rng`` draws the He-uniform initial weights. With ``rng=None`` every
     weight is zero: a skeleton for ``load_checkpoint`` to fill.
@@ -396,37 +378,39 @@ class SADNet:
 
     __call__ = forward
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        out = self.head.params("head")
+    def layers(self):
+        """``(prefix, layer)`` for every convolution layer, in parameter
+        order: the one place that spells the parameter names."""
+        yield "head", self.head
         for s, blocks in enumerate(self.enc):
             for i, b in enumerate(blocks):
-                out += b.params(f"enc.{s}.res{i}")
+                yield f"enc.{s}.res{i}.conv1", b.conv1
+                yield f"enc.{s}.res{i}.conv2", b.conv2
         for s, d in enumerate(self.down):
-            out += d.params(f"down.{s}")
-        out += self.context.params("context")
+            yield f"down.{s}", d
+        yield "context.compress", self.context.compress
+        for i, b in enumerate(self.context.branches):
+            yield f"context.branch{i}", b
+        yield "context.fuse", self.context.fuse
         for s, fz in enumerate(self.fuse):
-            out += fz.params(f"fuse.{s}")
+            yield f"fuse.{s}", fz
         for s, ot in enumerate(self.offset):
-            out += ot.params(f"offset.{s}")
+            yield f"offset.{s}.conv1", ot.conv1
+            yield f"offset.{s}.head", ot.head
         for s, blocks in enumerate(self.rsabs):
             for i, b in enumerate(blocks):
-                out += b.params(f"rsab.{s}.{i}")
+                yield f"rsab.{s}.{i}.dconv", b.dconv
+                yield f"rsab.{s}.{i}.conv2", b.conv2
         for s, u in enumerate(self.up):
-            out += u.params(f"up.{s}")
-        out += self.tail.params("tail")
-        return out
+            yield f"up.{s}", u
+        yield "tail", self.tail
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return [(f"{prefix}.{kind}", getattr(layer, kind))
+                for prefix, layer in self.layers() for kind in ("weight", "bias")]
 
     def param_count(self) -> int:
         return sum(p.data.size for _, p in self.params())
-
-
-def _layers(obj) -> list[_Conv]:
-    """The convolution layers under a model, a block or a list of them."""
-    if isinstance(obj, _Conv):
-        return [obj]
-    items = (obj if isinstance(obj, list)
-             else vars(obj).values() if hasattr(obj, "params") else ())
-    return [layer for item in items for layer in _layers(item)]
 
 
 def count_params_flops(config: ModelConfig, input_shape) -> tuple[int, int]:
@@ -441,7 +425,7 @@ def count_params_flops(config: ModelConfig, input_shape) -> tuple[int, int]:
     model = SADNet(config)
     div = 2 ** (config.scales - 1)
     model.forward(Tensor(np.zeros((1, config.in_channels, div, div), np.float32)))
-    macs = sum(layer.macs for layer in _layers(model))
+    macs = sum(layer.macs for _, layer in model.layers())
     macs += sum(8 * (st.offsets[0].size + st.masks[0].size)
                 for st in model.scale_states if st.scale < config.scales - 1)
     _, _, h, w = input_shape

@@ -134,21 +134,7 @@ class Tensor:
             raise UsageError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._prev:
-                if id(p) not in visited:
-                    stack.append((p, False))
+        topo = _graph(self)
         self.grad = np.ones_like(self.data)
         while topo:
             # popping lets a spent node's activation go with its last consumer
@@ -162,6 +148,26 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from root, each after all of its inputs."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._prev:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return topo
 
 
 def _node(data: np.ndarray, inputs, backward) -> Tensor:

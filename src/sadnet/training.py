@@ -55,6 +55,12 @@ class TrainConfig:
             raise UsageError(f"loss_kind must be L1 or L2, got {self.loss_kind}")
         if self.seed < 0:
             raise UsageError(f"seed must be non-negative, got {self.seed}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise UsageError(f"lr must be finite and positive, got {self.lr}")
+        for key in ("lr_halve_at", "log_interval", "checkpoint_interval"):
+            if getattr(self, key) < 0:
+                raise UsageError(
+                    f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 def _field_types(cls) -> dict:

@@ -174,6 +174,38 @@ class TestNegativeSeed:
         assert not noisy_dir.exists()
 
 
+class TestTrainConfigValues:
+    """A rate or interval that cannot train is exit 1 naming its key,
+    before any directory is made."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("lr = nan", "lr must be finite and positive, got nan"),
+        ("lr = inf", "lr must be finite and positive, got inf"),
+        ("lr = -1", "lr must be finite and positive, got -1.0"),
+        ("lr = 0", "lr must be finite and positive, got 0.0"),
+        ("lr_halve_at = -1", "lr_halve_at must be non-negative, got -1"),
+        ("log_interval = -1", "log_interval must be non-negative, got -1"),
+        ("checkpoint_interval = -1",
+         "checkpoint_interval must be non-negative, got -1"),
+    ], ids=["lr-nan", "lr-inf", "lr-negative", "lr-zero", "lr_halve_at",
+            "log_interval", "checkpoint_interval"])
+    def test_rejected(self, capsys, tmp_path, corpus, line, message):
+        noisy_dir = tmp_path / "noisy"
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(noisy_dir), "--sigma", "25")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+            f"patch_size = 16\nbatch_size = 2\nmax_iters = 1\n{line}\n"
+            f"manifest = {noisy_dir / 'manifest.tsv'}\n"
+            f"checkpoint_dir = {tmp_path / 'ckpt'}\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ckpt").exists()
+
+
 class TestBadSigma:
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
     def test_make_noisy_sigma(self, capsys, tmp_path, corpus, sigma):
@@ -221,6 +253,7 @@ class TestFilesystemErrors:
             str(manifest))
         assert (code, out) == (2, "")
         assert f"cannot write manifest {manifest}" in err
+        assert not list((tmp_path / "noisy").glob("*.pgm"))
 
     def test_checkpoint_dir_is_a_file(self, capsys, tmp_path, corpus):
         noisy_dir = tmp_path / "noisy"
@@ -334,6 +367,14 @@ class TestEvalErrors:
         assert code == 2
         assert err.startswith("data error: ")
         assert clean in err and noisy in err
+
+    def test_empty_manifest(self, capsys, tmp_path, micro_ckpt):
+        manifest = tmp_path / "eval.tsv"
+        manifest.write_text("")
+        code, out, err = run(capsys, "eval", "--ckpt", micro_ckpt,
+                             "--manifest", str(manifest))
+        assert (code, out) == (2, "")
+        assert f"{manifest} lists no images" in err
 
 
 class TestExitCodes:

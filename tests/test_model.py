@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ def micro_config(**kw):
 class TestResBlock:
     def test_zero_weights_identity(self, rng):
         block = ResBlock(np.random.default_rng(0), 4, dtype=np.float64)
-        for _, p in block.params("b"):
-            p.data[:] = 0.0
+        for conv in (block.conv1, block.conv2):
+            conv.weight.data[:] = conv.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 4, 6, 6)))
         np.testing.assert_array_equal(block(x).data, x.data)
 
@@ -60,8 +62,8 @@ class TestRSAB:
 
     def test_zero_weights_identity(self, rng):
         rsab = RSAB(np.random.default_rng(1), 4, dtype=np.float64)
-        for _, p in rsab.params("r"):
-            p.data[:] = 0.0
+        for conv in (rsab.dconv, rsab.conv2):
+            conv.weight.data[:] = conv.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 4, 5, 5)))
         offsets = Tensor(rng.uniform(-0.5, 0.5, (1, 18, 5, 5)))
         masks = Tensor(rng.uniform(0, 1, (1, 9, 5, 5)))
@@ -145,8 +147,8 @@ class TestContextBlock:
     def test_zero_weights_identity(self, rng):
         block = ContextBlock(np.random.default_rng(0), 8, compression=4,
                              dtype=np.float64)
-        for _, p in block.params("c"):
-            p.data[:] = 0.0
+        for conv in (block.compress, *block.branches, block.fuse):
+            conv.weight.data[:] = conv.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 8, 6, 6)))
         np.testing.assert_array_equal(block(x).data, x.data)
 
@@ -221,10 +223,37 @@ class TestSADNet:
                 ModelConfig(**bad).validate()
 
 
+class TestParamNames:
+    """The names are a file format: checkpoint records, Adam moment names
+    and the layer groups of perfbench all read them."""
+
+    def test_stock_names_in_order(self):
+        names = [n for n, _ in SADNet(ModelConfig()).params()]
+        assert len(names) == 82
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest().startswith(
+            "d10e7313c236e48c")
+        assert names[:4] == ["head.weight", "head.bias",
+                             "enc.0.res0.conv1.weight", "enc.0.res0.conv1.bias"]
+        assert names[18] == "down.0.weight"
+        assert names[24:28] == ["context.compress.weight", "context.compress.bias",
+                                "context.branch0.weight", "context.branch0.bias"]
+        assert names[44] == "offset.0.head.weight"
+        assert names[58] == "rsab.0.0.dconv.weight"
+        assert names[74] == "up.0.weight"
+        assert names[-2:] == ["tail.weight", "tail.bias"]
+
+    def test_block_indices_with_two_blocks_per_scale(self):
+        cfg = ModelConfig(resblocks_per_scale=2, rsabs_per_scale=2)
+        names = [n for n, _ in SADNet(cfg).params()]
+        assert len(names) == 114
+        assert names.index("enc.0.res1.conv2.weight") == 8
+        assert names.index("rsab.0.1.dconv.bias") == 79
+
+
 class TestCounting:
     def test_single_conv_params(self):
         conv = Conv2d(np.random.default_rng(0), 3, 32, 3)
-        assert sum(p.data.size for _, p in conv.params("c")) == 896
+        assert conv.weight.data.size + conv.bias.data.size == 896
 
     def test_default_params_in_expected_band(self):
         params, _ = count_params_flops(ModelConfig(), (1, 3, 320, 480))
