@@ -112,11 +112,18 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_make_noisy(args) -> int:
     manifest = args.manifest or f"{args.out_dir.rstrip('/')}/manifest.tsv"
-    # the out-dir and its parents are made before the first image; any other
-    # missing directory would fail the manifest after the last one
+    # a manifest that cannot be written is refused before the first image;
+    # the out-dir and its parents are made before it, and any other missing
+    # directory would fail the manifest after the last one
     parent = os.path.abspath(os.path.dirname(manifest))
-    if not (os.path.isdir(parent) or os.path.commonpath(
-            [parent, os.path.abspath(args.out_dir)]) == parent):
+    if os.path.isdir(manifest):
+        raise DataError(f"cannot write manifest {manifest}: is a directory")
+    if os.path.isdir(parent):
+        if not os.access(manifest if os.path.exists(manifest) else parent,
+                         os.W_OK):
+            raise DataError(
+                f"cannot write manifest {manifest}: permission denied")
+    elif os.path.commonpath([parent, os.path.abspath(args.out_dir)]) != parent:
         raise DataError(f"cannot write manifest {manifest}: no directory {parent}")
     entries = generate_noisy_corpus(args.in_dir, args.out_dir, args.sigma,
                                     args.seed)

@@ -9,6 +9,7 @@ reproduces bit-identically across runs and platforms.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -198,29 +199,41 @@ def write_manifest(entries: list[ManifestEntry], path) -> None:
         raise DataError(f"cannot write manifest {path}: {exc}") from exc
 
 
+def read_text_lines(path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file, newlines translated as ``open`` does;
+    a file that cannot be read or decoded is a DataError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: byte {exc.start} is "
+                        f"not UTF-8 ({exc.reason})") from exc
+    return io.StringIO(text, newline=None).readlines()
+
+
 def read_manifest(path) -> list[ManifestEntry]:
     entries = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 4 tab-separated fields, "
-                        f"got {len(parts)}")
-                try:
-                    sigma, seed = float(parts[2]), int(parts[3])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if not math.isfinite(sigma) or sigma < 0:
-                    raise DataError(f"{path}:{lineno}: sigma must be finite "
-                                    f"and non-negative, got {parts[2]}")
-                entries.append(ManifestEntry(parts[0], parts[1], sigma, seed))
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    for lineno, line in enumerate(read_text_lines(path, "manifest"), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, "
+                f"got {len(parts)}")
+        try:
+            sigma, seed = float(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(sigma) or sigma < 0:
+            raise DataError(f"{path}:{lineno}: sigma must be finite "
+                            f"and non-negative, got {parts[2]}")
+        entries.append(ManifestEntry(parts[0], parts[1], sigma, seed))
     return entries
 
 

@@ -18,38 +18,38 @@ freed during the sweep instead of waiting for the cyclic collector. Leaves
 (parameters, inputs) keep their ``grad``. A second ``backward()`` on the same
 graph is unsupported; build the graph again instead.
 
-Convolutions share one column-GEMM core: (n, c*kh*kw, oh*ow) columns and
-a batched matmul with the (out_c, in_c*kh*kw) weight matrix. ``_im2col``
-builds stride-1 columns, reading zeros wherever the window leaves the
-input (so zero padding needs no padded copy). A strided ``conv2d`` (and
-every ``conv2d_transpose``) must have stride == kernel, padding 0 and
-dilation 1, else it raises ``ConfigurationError``: its blocks do not
-overlap, so its columns are the permuted copy ``_space_to_depth`` and
-their adjoint ``_depth_to_space`` sums nothing (Shi et al. 2016,
-arXiv:1609.05158). A convolution keeps no columns from forward to
-backward (Chen et al. 2016, arXiv:1604.06174). A stride-1 ``conv2d``
-backward builds one set of columns from its output gradient instead: the
-input gradient of a stride-1 convolution is the stride-1 convolution of the
-output gradient, zero-extended by d*(k-1) - p per side (cropped where that
-is negative), with the kernel flipped and its channel axes swapped
-(Dumoulin & Visin 2016, arXiv:1603.07285). One GEMM writes the input
-gradient's rows; the same columns against the input give the weight
-gradient with flipped taps. A strided ``conv2d`` backward rebuilds the
-input's columns for the weight gradient and writes each band's column
-gradient into that band's own input rows by depth-to-space. Both rely on
-the ``Tensor`` convention that ``data`` is never mutated in place while a
-graph uses it. So a training step holds only the graph's own tensors.
+Every dense convolution runs on one core: ``_conv``, a batched GEMM of the
+(out_c, in_c*kh*kw) weight matrix with (n, c*kh*kw, oh*ow) stride-1
+columns, and its adjoint ``_conv_vjp``. ``_im2col`` builds the columns,
+reading zeros wherever the window leaves the input (so zero padding needs
+no padded copy). A strided ``conv2d`` (and every ``conv2d_transpose``) must
+have stride == kernel, padding 0 and dilation 1, else it raises
+``ConfigurationError``: its blocks do not overlap, so it is a 1x1 conv of
+blocks (Shi et al. 2016, arXiv:1609.05158): of its input's, the permuted
+copy ``_space_to_depth``, in ``conv2d``; into its output's, by the adjoint
+``_depth_to_space`` that sums nothing, in ``conv2d_transpose``. A
+convolution keeps no columns from forward to backward (Chen et al. 2016,
+arXiv:1604.06174). ``_conv_vjp`` builds one set of columns from the output
+gradient instead: the input gradient of a stride-1 convolution is the
+stride-1 convolution of the output gradient, zero-extended by d*(k-1) - p
+per side (cropped where that is negative), with the kernel flipped and its
+channel axes swapped (Dumoulin & Visin 2016, arXiv:1603.07285). One GEMM
+writes the input gradient's rows; the same columns against the input give
+the weight gradient with flipped taps, and a strided ``conv2d`` rebuilds
+its input's blocks for them. Both rely on the ``Tensor`` convention that
+``data`` is never mutated in place while a graph uses it, so a training
+step holds only the graph's own tensors.
 
-``conv2d`` and the deformable conv work in bands of rows (``_bands``): im2col
-and GEMM in forward, and the columns, weight gradient and input gradient in
-backward, run one band at a time, and each band's columns fit in
-``_BAND_BYTES`` (16 MiB; at least one row of one image). Forward bands
-split output rows; a stride-1 ``conv2d`` backward's bands split input rows,
+``_conv``, ``_conv_vjp`` and the deformable conv work in bands of rows
+(``_bands``): im2col and GEMM in forward, and the columns, weight gradient
+and input gradient in backward, run one band at a time, and each band's
+columns fit in ``_BAND_BYTES`` (16 MiB; at least one row of one image).
+Forward bands split output rows; ``_conv_vjp``'s bands split input rows,
 and its columns count o*kh*kw per input pixel. So what one op allocates
 beyond its inputs, output and gradients does not grow with the image. Whole
 images share a band while they fit, which leaves small layers in one band.
-``conv2d_transpose`` is not banded: its columns are the size of its
-output.
+The columns of a 1x1 conv are views of its input; a strided ``conv2d``'s
+space-to-depth copy is the size of its input.
 
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
@@ -241,24 +241,25 @@ def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
 
 
 def _space_to_depth(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Columns (n, c*kh*kw, (h//kh)*(w//kw)) of a's whole kh x kw blocks,
-    row c*kh*kw + tap as in ``_im2col``: a conv whose stride is its kernel."""
+    """a's whole kh x kw blocks as (n, c*kh*kw, h//kh, w//kw), channel
+    c*kh*kw + tap as in ``_im2col``: a conv whose stride is its kernel is
+    the 1x1 conv of these."""
     n, c, h, w = a.shape
     oh, ow = h // kh, w // kw
     blocks = a[:, :, :oh * kh, :ow * kw].reshape(n, c, oh, kh, ow, kw)
-    return blocks.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * kh * kw, oh * ow)
+    return blocks.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * kh * kw, oh, ow)
 
 
-def _depth_to_space(cols: np.ndarray, out: np.ndarray, kh: int,
+def _depth_to_space(blocks: np.ndarray, out: np.ndarray, kh: int,
                     kw: int) -> np.ndarray:
-    """Write columns into out's whole kh x kw blocks, one slice per tap and
+    """Write blocks into out's whole kh x kw blocks, one slice per tap and
     nothing summed: the adjoint of ``_space_to_depth``. Returns out."""
     n, c, h, w = out.shape
     oh, ow = h // kh, w // kw
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    blocks = blocks.reshape(n, c, kh, kw, oh, ow)
     for ki in range(kh):
         for kj in range(kw):
-            out[:, :, ki: oh * kh: kh, kj: ow * kw: kw] = cols[:, :, ki, kj]
+            out[:, :, ki: oh * kh: kh, kj: ow * kw: kw] = blocks[:, :, ki, kj]
     return out
 
 
@@ -307,6 +308,60 @@ def _bias_grad(gy: np.ndarray) -> np.ndarray:
     return gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
 
 
+def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
+    """Stride-1 cross-correlation of arrays, (n, c, h, w) by (o, c, kh, kw):
+    one im2col and GEMM per band of output rows."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    out_h = conv_output_size(h, kh, 1, dilation[0], padding[0])
+    out_w = conv_output_size(wd, kw, 1, dilation[1], padding[1])
+    w2 = w.reshape(o, -1)
+    y = np.empty((n, o, out_h * out_w), dtype=np.result_type(w2, x))
+    # each band's columns go with its GEMM, before the next band's are built
+    for images, r0, r1 in _bands(n, out_h, c * kh * kw * out_w * x.itemsize):
+        np.matmul(w2, _im2col(x[images], kh, kw, r1 - r0, out_w, dilation,
+                              (r0 - padding[0], -padding[1])),
+                  out=y[images, :, r0 * out_w: r1 * out_w])
+    return y.reshape(n, o, out_h, out_w)
+
+
+def _conv_vjp(gy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation,
+              padding, want_gx: bool, want_gw: bool):
+    """(gx, gw) of ``_conv`` for the output gradient gy, each None unless
+    wanted, from one im2col of gy per band of input rows.
+
+    gx is the stride-1 conv of gy, zero-extended by d*(k-1) - p per side
+    (cropped where that is negative), with the flipped kernel's channel
+    axes swapped; the same columns against x give the weight gradient with
+    its taps flipped.
+    """
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    dh, dw = dilation
+    origin = (padding[0] - dh * (kh - 1), padding[1] - dw * (kw - 1))
+    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    gx = np.empty((n, c, h * wd), np.result_type(wf, gy)) if want_gx else None
+    gwf = (np.zeros((o * kh * kw, c), np.result_type(gy, x))
+           if want_gw else None)
+    x2 = x.reshape(n, c, h * wd)
+    # the band's gx rows are written once; the weight partials add up band
+    # by band in a fixed order
+    for images, r0, r1 in _bands(n, h, o * kh * kw * wd * gy.itemsize):
+        cols = _im2col(gy[images], kh, kw, r1 - r0, wd, dilation,
+                       (origin[0] + r0, origin[1]))
+        band = slice(r0 * wd, r1 * wd)
+        if gx is not None:
+            np.matmul(wf, cols, out=gx[images, :, band])
+        if gwf is not None:
+            gwf += _weight_grad(cols, x2[images, :, band])
+    if gx is not None:
+        gx = gx.reshape(x.shape)
+    if gwf is not None:
+        gwf = np.ascontiguousarray(
+            gwf.reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+    return gx, gwf
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), dilation=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation with zero padding.
@@ -316,7 +371,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     dilation 1 (non-overlapping blocks, the 2x2 down conv).
     Differentiable w.r.t. x, weight and bias.
     """
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
     if c != ci:
         raise ConfigurationError(
@@ -330,93 +385,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"strided conv2d needs stride == kernel, dilation 1, padding 0; "
             f"got stride {stride}, kernel {kh}x{kw}, dilation {dilation}, "
             f"padding {padding}")
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, stride[0], dilation[0], ph)
-    out_w = conv_output_size(w, kw, stride[1], dilation[1], pw)
+    out_h = conv_output_size(h, kh, stride[0], dilation[0], padding[0])
+    out_w = conv_output_size(w, kw, stride[1], dilation[1], padding[1])
     if out_h < 1 or out_w < 1:
         raise ConfigurationError(
             f"conv2d output would be empty: input {x.shape}, kernel {kh}x{kw}, "
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
-    row_bytes = c * kh * kw * out_w * x.data.itemsize
-    dh, dw = dilation
 
-    def band_cols(images, r0, r1):
-        if strided:
-            return _space_to_depth(x.data[images, :, r0 * kh: r1 * kh], kh, kw)
-        return _im2col(x.data[images], kh, kw, r1 - r0, out_w, dilation,
-                       (r0 - ph, -pw))
+    def stride1():
+        """The ``_conv`` operands: a strided conv is the 1x1 conv of x's
+        blocks, which backward rebuilds."""
+        if not strided:
+            return x.data, weight.data, dilation, padding
+        return (_space_to_depth(x.data, kh, kw),
+                weight.data.reshape(o, -1, 1, 1), (1, 1), (0, 0))
 
-    w2 = weight.data.reshape(o, -1)
-    y = np.empty((n, o, out_h * out_w), dtype=np.result_type(w2, x.data))
-    for images, r0, r1 in _bands(n, out_h, row_bytes):
-        np.matmul(w2, band_cols(images, r0, r1),
-                  out=y[images, :, r0 * out_w: r1 * out_w])
-    y = y.reshape(n, o, out_h, out_w)
+    y = _conv(*stride1())
     if bias is not None:
         y += bias.data
-
-    def backward_stride1(gy):
-        """Both gradients from one im2col of gy per band of input rows.
-
-        gx is the stride-1 conv of gy, zero-extended by d*(k-1) - p per
-        side (cropped where that is negative), with the flipped kernel's
-        channel axes swapped; the same columns against x give the weight
-        gradient with its taps flipped.
-        """
-        origin = (ph - dh * (kh - 1), pw - dw * (kw - 1))
-        wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        gx = (np.empty((n, c, h * w), np.result_type(wf, gy))
-              if x.requires_grad else None)
-        gwf = (np.zeros((o * kh * kw, c), np.result_type(gy, x.data))
-               if weight.requires_grad else None)
-        x2 = x.data.reshape(n, c, h * w)
-        # the band's gx rows are written once; the weight partials add up
-        # band by band in a fixed order
-        for images, r0, r1 in _bands(n, h, o * kh * kw * w * gy.itemsize):
-            cols = _im2col(gy[images], kh, kw, r1 - r0, w, dilation,
-                           (origin[0] + r0, origin[1]))
-            band = slice(r0 * w, r1 * w)
-            if gx is not None:
-                np.matmul(wf, cols, out=gx[images, :, band])
-            if gwf is not None:
-                gwf += _weight_grad(cols, x2[images, :, band])
-        if gx is not None:
-            gx = gx.reshape(x.shape)
-        if gwf is not None:
-            gwf = np.ascontiguousarray(
-                gwf.reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
-        return gx, gwf
-
-    def backward_strided(gy):
-        """Input columns rebuilt for the weight gradient; each band's column
-        gradient written to its own gx rows by depth-to-space."""
-        gy2 = gy.reshape(n, o, -1)
-        w2 = weight.data.reshape(o, -1)
-        gw = (np.zeros(weight.shape, np.result_type(gy, x.data))
-              if weight.requires_grad else None)
-        gx = (np.zeros(x.shape, np.result_type(w2, gy))
-              if x.requires_grad else None)
-        # the weight-gradient partials add up band by band in a fixed order
-        for images, r0, r1 in _bands(n, out_h, row_bytes):
-            gyb = gy2[images, :, r0 * out_w: r1 * out_w]
-            if gw is not None:
-                # columns are rebuilt, not kept: x.data is unchanged since
-                # forward because op inputs are never mutated
-                gw += _weight_grad(gyb, band_cols(images, r0, r1)).reshape(
-                    weight.shape)
-            if gx is not None:
-                _depth_to_space(w2.T @ gyb, gx[images, :, r0 * kh: r1 * kh],
-                                kh, kw)
-        return gx, gw
 
     def backward(gy):
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_bias_grad(gy))
-        gx, gw = (backward_strided if strided else backward_stride1)(gy)
+        gx, gw = _conv_vjp(gy, *stride1(), x.requires_grad,
+                           weight.requires_grad)
         if gw is not None:
-            weight.accumulate_grad(gw)
+            weight.accumulate_grad(gw.reshape(weight.shape))
         if gx is not None:
+            if strided:  # rows and columns outside every block get 0
+                gx = _depth_to_space(gx, np.zeros(x.shape, gx.dtype), kh, kw)
             x.accumulate_grad(gx)
 
     return _node(y, (x, weight, bias), backward)
@@ -429,7 +427,7 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     weight: (out_c, in_c, kh, kw) where in_c matches the input channels.
     The stride must equal the kernel (non-overlapping blocks, the 2x2 up
     conv), so the output is the input times the stride per axis. It is the
-    adjoint of conv2d with the channel axes of the same kernel swapped.
+    1x1 conv whose out_c*kh*kw output channels are the output's blocks.
     """
     n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
@@ -442,10 +440,12 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ConfigurationError(
             f"conv2d_transpose needs a stride equal to its kernel, got stride "
             f"{tuple(stride)} and kernel {kh}x{kw}")
-    # the adjoint conv2d's (in_c, out_c * kh * kw) weight matrix
-    w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
-    cols = w2.T @ x.data.reshape(n, c, h * w)
-    y = _depth_to_space(cols, np.empty((n, o, h * kh, w * kw), cols.dtype),
+
+    def weight1x1():
+        return weight.data.transpose(0, 2, 3, 1).reshape(o * kh * kw, c, 1, 1)
+
+    blocks = _conv(x.data, weight1x1(), (1, 1), (0, 0))
+    y = _depth_to_space(blocks, np.empty((n, o, h * kh, w * kw), blocks.dtype),
                         kh, kw)
     if bias is not None:
         y += bias.data
@@ -453,14 +453,14 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(gy):
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_bias_grad(gy))
-        gcols = _space_to_depth(gy, kh, kw)
-        if x.requires_grad:
-            w2 = weight.data.transpose(1, 0, 2, 3).reshape(c, -1)
-            x.accumulate_grad((w2 @ gcols).reshape(x.shape))
-        if weight.requires_grad:
-            gw2 = _weight_grad(x.data.reshape(n, c, h * w), gcols)
+        gx, gw = _conv_vjp(_space_to_depth(gy, kh, kw), x.data, weight1x1(),
+                           (1, 1), (0, 0), x.requires_grad,
+                           weight.requires_grad)
+        if gw is not None:
             weight.accumulate_grad(
-                gw2.reshape(c, o, kh, kw).transpose(1, 0, 2, 3))
+                gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+        if gx is not None:
+            x.accumulate_grad(gx)
 
     return _node(y, (x, weight, bias), backward)
 

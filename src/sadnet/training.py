@@ -19,9 +19,10 @@ from . import tensor as T
 from .checkpoint import (Checkpoint, load_checkpoint, require_config_match,
                          save_checkpoint)
 from .data import (ImageBuffer, augment, from_tensor, load_image, make_dir,
-                   make_rng, read_manifest, save_image, to_tensor)
+                   make_rng, read_manifest, read_text_lines, save_image,
+                   to_tensor)
 from .errors import DataError, NumericError, UsageError
-from .metrics import MetricReport, psnr, ssim
+from .metrics import SSIM_WINDOW, MetricReport, psnr, ssim
 from .model import ModelConfig, SADNet, denoise_tensor
 from .optim import AdamState, adam_step
 from .tensor import Tensor
@@ -75,12 +76,7 @@ _TRAIN_KEYS = _field_types(TrainConfig)
 def parse_train_config(path) -> TrainConfig:
     """Flat key=value config file; unknown keys are rejected."""
     model_kwargs, train_kwargs = {}, {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_text_lines(path, "config"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -268,6 +264,10 @@ def evaluate(checkpoint_path, manifest_path) -> MetricReport:
     report = MetricReport()
     for e in entries:
         clean = load_image(e.clean_path)
+        if clean.height < SSIM_WINDOW or clean.width < SSIM_WINDOW:
+            raise DataError(
+                f"{e.clean_path}: image {clean.height}x{clean.width} smaller "
+                f"than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
         denoised = from_tensor(
             denoise_tensor(model, load_model_input(model, e.noisy_path)))
         if denoised.samples.shape != clean.samples.shape:

@@ -255,6 +255,16 @@ class TestFilesystemErrors:
         assert f"cannot write manifest {manifest}" in err
         assert not list((tmp_path / "noisy").glob("*.pgm"))
 
+    def test_manifest_is_a_directory(self, capsys, tmp_path, corpus):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code, out, err = self.make_noisy(
+            capsys, "--in-dir", str(corpus), "--out-dir",
+            str(tmp_path / "noisy"), "--sigma", "25", "--manifest", str(taken))
+        assert (code, out) == (2, "")
+        assert f"cannot write manifest {taken}: is a directory" in err
+        assert not list((tmp_path / "noisy").glob("*.pgm"))
+
     def test_checkpoint_dir_is_a_file(self, capsys, tmp_path, corpus):
         noisy_dir = tmp_path / "noisy"
         run(capsys, "make-noisy", "--in-dir", str(corpus),
@@ -368,6 +378,16 @@ class TestEvalErrors:
         assert err.startswith("data error: ")
         assert clean in err and noisy in err
 
+    def test_image_smaller_than_ssim_window(self, capsys, rng, tmp_path,
+                                            micro_ckpt):
+        clean = random_image(rng, tmp_path / "clean.pgm", 5, 9)
+        manifest = tmp_path / "eval.tsv"
+        write_manifest([ManifestEntry(clean, clean, 25.0, 0)], manifest)
+        code, out, err = run(capsys, "eval", "--ckpt", micro_ckpt,
+                             "--manifest", str(manifest))
+        assert (code, out) == (2, "")
+        assert f"{clean}: image 5x9 smaller than the 11x11 SSIM window" in err
+
     def test_empty_manifest(self, capsys, tmp_path, micro_ckpt):
         manifest = tmp_path / "eval.tsv"
         manifest.write_text("")
@@ -375,6 +395,36 @@ class TestEvalErrors:
                              "--manifest", str(manifest))
         assert (code, out) == (2, "")
         assert f"{manifest} lists no images" in err
+
+
+class TestNonUtf8Text:
+    """A byte that is not UTF-8 in a manifest or config is exit 2 naming the
+    file and the byte's offset."""
+
+    def check(self, capsys, kind, path, offset, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"cannot read {kind} {path}: byte {offset} is not UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_manifest(self, capsys, tmp_path, micro_ckpt, command):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(b"a.pgm\tb.pgm\t25\t0\n\xff\xfe\n")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+                       f"manifest = {manifest}\n"
+                       f"checkpoint_dir = {tmp_path / 'ckpt'}\n")
+        argv = (["eval", "--ckpt", micro_ckpt, "--manifest", str(manifest)]
+                if command == "eval" else ["train", "--config", str(cfg)])
+        self.check(capsys, "manifest", manifest, 17, *argv)
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    def test_config(self, capsys, tmp_path, command):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"in_channels = 1\n# \xff\n")
+        self.check(capsys, "config", cfg, 18, command, "--config", str(cfg))
 
 
 class TestExitCodes:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sadnet.data import (ImageBuffer, ManifestEntry, NoiseSpec, add_awgn,
                          augment, from_tensor,
                          generate_noisy_corpus, load_image, make_rng,
                          read_manifest, save_image, to_tensor, write_manifest)
-from sadnet.errors import DataError, UsageError
+from sadnet.errors import ConfigurationError, DataError, UsageError
 from sadnet.tensor import Tensor
+from sadnet.training import parse_train_config
 
 from conftest import synth_buffer
 
@@ -215,6 +217,41 @@ class TestManifest:
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataError, match="no .pgm"):
             generate_noisy_corpus(tmp_path / "empty", tmp_path / "out", 25.0, 0)
+
+
+class TestParsersProperty:
+    """A damaged PNM, manifest or config file parses or raises one of the
+    documented errors, never anything else. Only the parsers run: a
+    mutated config may ask for a model of any size."""
+
+    SEEDS = {
+        "pnm": (load_image, b"P6\n# seed\n4 3\n255\n" + bytes(range(36))),
+        "manifest": (read_manifest,
+                     b"a.pgm\tb.pgm\t25\t0\nc d.ppm\te.ppm\t15.5\t7\n"),
+        "config": (parse_train_config,
+                   b"# smoke\nin_channels = 1\nchannels_per_scale = 8,16,32,64"
+                   b"\nbatch_size = 4\npatch_size = 64\nlr = 1e-3\n"
+                   b"manifest = train.tsv\n"),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", SEEDS)
+    def test_mutated_file(self, tmp_path_factory, kind, data):
+        parse, blob = self.SEEDS[kind]
+        for _ in range(data.draw(st.integers(1, 4), label="edits")):
+            at = data.draw(st.integers(0, len(blob)), label="offset")
+            edit = data.draw(st.sampled_from(["overwrite", "insert", "delete"]),
+                             label="edit")
+            new = data.draw(st.binary(min_size=1, max_size=4), label="bytes")
+            cut = at + len(new) if edit == "overwrite" else at + (edit == "delete")
+            blob = blob[:at] + (b"" if edit == "delete" else new) + blob[cut:]
+        path = tmp_path_factory.getbasetemp() / f"mutated.{kind}"
+        path.write_bytes(blob)
+        try:
+            parse(path)
+        except (UsageError, DataError, ConfigurationError):
+            pass
 
 
 class TestRNG:

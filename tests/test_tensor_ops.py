@@ -305,10 +305,10 @@ def _run_banded(monkeypatch, budget, op, arrays, gy):
 class TestBands:
     """Row bands change what an op allocates, not what it computes.
 
-    A budget below one row forces one row per band: output rows in forward
-    and in a strided backward, input rows in a stride-1 conv2d backward,
-    whose output may be smaller ("shrinking") or larger ("growing") than
-    its input; a 1x1 kernel ("pointwise") reads its rows in place. The
+    A budget below one row forces one row per band: output rows in forward,
+    input rows in backward, whose output may be smaller ("shrinking") or
+    larger ("growing") than its input; a 1x1 kernel ("pointwise") reads its
+    rows in place, and a 2x2 up or down conv is a 1x1 conv of blocks. The
     forward and every gradient match the single-band run to
     1e-6 of their largest element: weight partials are summed in another
     order, and OpenBLAS may round a narrow GEMM block (17 columns here)
@@ -343,6 +343,13 @@ class TestBands:
     def test_conv2d(self, monkeypatch, rng, case, dtype):
         self._check(monkeypatch, rng, dtype,
                     *_conv_case(rng, *self.CASES[case]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_transpose(self, monkeypatch, rng, dtype):
+        arrays = (rng.standard_normal((2, 6, 23, 17)),
+                  rng.standard_normal((5, 6, 2, 2)),
+                  rng.standard_normal((1, 5, 1, 1)))
+        self._check(monkeypatch, rng, dtype, T.conv2d_transpose, arrays)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_modulated_deform_conv2d(self, monkeypatch, rng, dtype):
@@ -381,7 +388,8 @@ class TestBands:
 
         def recording(*args):
             for band in real_bands(*args):
-                bands.setdefault(phase[0], []).append(band)
+                if phase[0] is not None:
+                    bands.setdefault(phase[0], []).append(band)
                 yield band
 
         def conv(x, weight, bias=None, stride=(1, 1), dilation=(1, 1),
@@ -396,6 +404,7 @@ class TestBands:
             def backward():
                 phase[0] = (name, "backward")
                 inner()
+                phase[0] = None  # other ops' bands are not this conv's
             out._backward = backward
             return out
         monkeypatch.setattr(T, "_bands", recording)
