@@ -45,7 +45,8 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 @dataclass
 class Checkpoint:
-    config: ModelConfig
+    """A loaded checkpoint; its model config is ``model.config``."""
+
     model: SADNet
     adam: AdamState
     iteration: int
@@ -232,7 +233,7 @@ def load_checkpoint(path) -> Checkpoint:
         have, lack = ("m", "v") if param in adam.m else ("v", "m")
         raise DataError(f"{path}: Adam moment adam.{have}.{param} has no "
                         f"adam.{lack}.{param}")
-    return Checkpoint(config, model, adam, iteration, rng_state)
+    return Checkpoint(model, adam, iteration, rng_state)
 
 
 def diff_configs(expected: ModelConfig, found: ModelConfig) -> list[str]:

@@ -245,8 +245,15 @@ def make_dir(path) -> None:
         raise DataError(f"cannot create directory {path}: {exc}") from exc
 
 
-def generate_noisy_corpus(in_dir, out_dir, sigma: float, seed: int) -> list[ManifestEntry]:
-    """Add AWGN to every PGM/PPM under in_dir; per-image seed is seed ^ index."""
+def generate_noisy_corpus(in_dir, out_dir, sigma: float, seed: int,
+                          manifest=None) -> list[ManifestEntry]:
+    """Add AWGN to every PGM/PPM under in_dir; per-image seed is seed ^ index.
+
+    With a ``manifest`` path the entries are written there too. It is opened
+    before the first image, in append mode, which creates it but leaves an
+    existing one whole: a path that cannot be written fails with no image
+    written, and an old manifest is replaced only after the last image.
+    """
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
     _check_sigma(sigma)
@@ -258,13 +265,19 @@ def generate_noisy_corpus(in_dir, out_dir, sigma: float, seed: int) -> list[Mani
     if not names:
         raise DataError(f"no .pgm/.ppm images found in {in_dir}")
     make_dir(out_dir)
-    entries = []
-    for idx, name in enumerate(names):
-        clean_path = os.path.join(in_dir, name)
-        noisy_path = os.path.join(out_dir, name)
-        img_seed = seed ^ idx
-        clean = to_tensor(load_image(clean_path))
-        noisy = add_awgn(clean, NoiseSpec(sigma, img_seed))
-        save_image(from_tensor(noisy), noisy_path)
-        entries.append(ManifestEntry(clean_path, noisy_path, sigma, img_seed))
+    if manifest is not None:
+        try:
+            open(manifest, "ab").close()
+        except OSError as exc:
+            raise DataError(f"cannot write manifest {manifest}: "
+                            f"{exc.strerror.lower()}") from exc
+    entries = [ManifestEntry(os.path.join(in_dir, name),
+                             os.path.join(out_dir, name), sigma, seed ^ idx)
+               for idx, name in enumerate(names)]
+    for e in entries:
+        clean = to_tensor(load_image(e.clean_path))
+        noisy = add_awgn(clean, NoiseSpec(sigma, e.seed))
+        save_image(from_tensor(noisy), e.noisy_path)
+    if manifest is not None:
+        write_manifest(entries, manifest)
     return entries

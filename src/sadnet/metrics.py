@@ -28,8 +28,9 @@ C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
 
 
-def psnr(a: ImageBuffer, b: ImageBuffer, peak: float = 255.0) -> float:
-    """10*log10(peak^2 / MSE); identical images give math.inf."""
+def psnr(a: ImageBuffer, b: ImageBuffer) -> float:
+    """10*log10(255^2 / MSE) of 8-bit samples; identical images give
+    math.inf."""
     if a.samples.shape != b.samples.shape:
         raise UsageError(
             f"psnr shape mismatch: {a.samples.shape} vs {b.samples.shape}")
@@ -37,19 +38,19 @@ def psnr(a: ImageBuffer, b: ImageBuffer, peak: float = 255.0) -> float:
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(255.0 * 255.0 / mse)
 
 
-def _gaussian_taps(size: int = SSIM_WINDOW,
-                   sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """The normalized 1-D Gaussian; ``gaussian_window`` is its outer square."""
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
+def _gaussian_taps() -> np.ndarray:
+    """The normalized 1-D Gaussian of the SSIM window; ``gaussian_window``
+    is its outer square."""
+    ax = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2.0 * SSIM_SIGMA ** 2))
     return g / g.sum()
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    g = _gaussian_taps(size, sigma)
+def gaussian_window() -> np.ndarray:
+    g = _gaussian_taps()
     return np.outer(g, g)
 
 

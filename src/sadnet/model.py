@@ -59,7 +59,7 @@ class ModelConfig:
                 f"got {self.kernel_size}")
         if self.updown_kernel != 2:
             # each scale halves: offsets are upsampled 2x from the scale
-            # below, and inputs are padded to a multiple of 2^(scales-1)
+            # below, and inputs are padded to a multiple of ``divisor``
             raise ConfigurationError(
                 f"updown_kernel must be 2, got {self.updown_kernel}")
         if (self.context_compression < 1
@@ -76,6 +76,12 @@ class ModelConfig:
     @property
     def k_taps(self) -> int:
         return self.kernel_size * self.kernel_size
+
+    @property
+    def divisor(self) -> int:
+        """Input height and width must be multiples of this: each scale
+        below the first halves them."""
+        return 2 ** (self.scales - 1)
 
     def to_dict(self) -> dict:
         """The fields as JSON types: tuples become lists."""
@@ -102,12 +108,14 @@ class ScaleState:
     masks: np.ndarray
 
 
-def _he_uniform(rng: np.random.Generator | None, shape, fan_in: int, dtype):
+def _he_uniform(rng: np.random.Generator | None, shape, dtype):
+    """U(-sqrt(6 / fan_in), +sqrt(6 / fan_in)), fan_in the size of one
+    output channel's weights."""
     if rng is None:
         # zero init, or weights a checkpoint overwrites: np.zeros maps pages
         # untouched, so a skeleton costs neither random draws nor page faults
         return np.zeros(shape, dtype=dtype)
-    limit = np.sqrt(6.0 / fan_in)
+    limit = np.sqrt(6.0 / np.prod(shape[1:]))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
@@ -121,7 +129,7 @@ class _Conv:
 
     def __init__(self, rng, in_c, out_c, k, zero_init=False, dtype=np.float32):
         shape = (out_c, in_c, k, k)
-        w = _he_uniform(None if zero_init else rng, shape, in_c * k * k, dtype)
+        w = _he_uniform(None if zero_init else rng, shape, dtype)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros((1, out_c, 1, 1), dtype=dtype), requires_grad=True)
         self.macs = 0
@@ -143,13 +151,11 @@ class Conv2d(_Conv):
 
 
 class ConvTranspose2d(_Conv):
-    def __init__(self, rng, in_c, out_c, k, stride=2, dtype=np.float32):
-        super().__init__(rng, in_c, out_c, k, dtype=dtype)
-        self.stride = (stride, stride)
+    """Its stride is its kernel (``tensor.conv2d_transpose``)."""
 
     def __call__(self, x: Tensor) -> Tensor:
         self.macs = x.shape[2] * x.shape[3] * self.weight.data.size
-        return T.conv2d_transpose(x, self.weight, self.bias, self.stride)
+        return T.conv2d_transpose(x, self.weight, self.bias)
 
 
 class DeformConv2d(_Conv):
@@ -334,7 +340,7 @@ class SADNet:
                        for _ in range(cfg.rsabs_per_scale)]
                       for s in range(s_count)]
         self.up = [ConvTranspose2d(rng, ch[s], ch[s - 1], cfg.updown_kernel,
-                                   stride=cfg.updown_kernel, dtype=dtype)
+                                   dtype=dtype)
                    for s in range(1, s_count)]
         self.tail = Conv2d(rng, ch[0], cfg.in_channels, 1, zero_init=True,
                            dtype=dtype)
@@ -346,7 +352,7 @@ class SADNet:
         if c != cfg.in_channels:
             raise ConfigurationError(
                 f"input has {c} channels, model expects {cfg.in_channels}")
-        div = 2 ** (cfg.scales - 1)
+        div = cfg.divisor
         if h % div or w % div:
             raise UsageError(
                 f"input spatial size {h}x{w} must be divisible by {div}; "
@@ -416,14 +422,14 @@ class SADNet:
 def count_params_flops(config: ModelConfig, input_shape) -> tuple[int, int]:
     """Exact parameter count and MACs (counted as FLOPs) of one image.
 
-    One forward of a zero skeleton at 2^(scales-1) square, the smallest
+    One forward of a zero skeleton at ``config.divisor`` square, the smallest
     size the model takes, sums the layers' ``macs`` and 8 per element of
     the upsampled offset and mask fields. MACs are linear in H*W at the
     sizes the model takes, so a size it does not take is counted at the
     padded size ``denoise_tensor`` runs.
     """
     model = SADNet(config)
-    div = 2 ** (config.scales - 1)
+    div = config.divisor
     model.forward(Tensor(np.zeros((1, config.in_channels, div, div), np.float32)))
     macs = sum(layer.macs for _, layer in model.layers())
     macs += sum(8 * (st.offsets[0].size + st.masks[0].size)
@@ -435,7 +441,7 @@ def count_params_flops(config: ModelConfig, input_shape) -> tuple[int, int]:
 def denoise_tensor(model: SADNet, x: Tensor) -> Tensor:
     """Forward pass with reflect padding to the required divisibility."""
     _, _, h, w = x.shape
-    div = 2 ** (model.config.scales - 1)
+    div = model.config.divisor
     pad = ((0, 0), (0, 0), (0, -h % div), (0, -w % div))
     data = np.pad(x.data, pad, mode="reflect") if h % div or w % div else x.data
     out = model(Tensor(data))
@@ -451,11 +457,16 @@ def export_offsets(model: SADNet, x: Tensor, out_path, points_per_axis: int = 4)
     sampling position (base position + learned offset) and its modulation
     scalar. Returns the number of data rows written.
     """
+    _, _, h, w = x.shape
     if points_per_axis < 1:
         raise UsageError(f"--points (points per axis) must be at least 1, "
                          f"got {points_per_axis}")
+    if points_per_axis > max(h, w):
+        # more points than pixels only repeat rows
+        raise UsageError(f"--points (points per axis) must be at most "
+                         f"{max(h, w)}, the image's longer side, got "
+                         f"{points_per_axis}")
     denoise_tensor(model, x)
-    _, _, h, w = x.shape
     k = model.config.kernel_size
     pad = k // 2
     rows = []

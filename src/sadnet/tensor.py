@@ -22,11 +22,12 @@ Every dense convolution runs on one core: ``_conv``, a batched GEMM of the
 (out_c, in_c*kh*kw) weight matrix with (n, c*kh*kw, oh*ow) stride-1
 columns, and its adjoint ``_conv_vjp``. ``_im2col`` builds the columns,
 reading zeros wherever the window leaves the input (so zero padding needs
-no padded copy). A strided ``conv2d`` (and every ``conv2d_transpose``) must
-have stride == kernel, padding 0 and dilation 1, else it raises
-``ConfigurationError``: its blocks do not overlap, so it is a 1x1 conv of
-blocks (Shi et al. 2016, arXiv:1609.05158): of its input's, the permuted
-copy ``_space_to_depth``, in ``conv2d``; into its output's, by the adjoint
+no padded copy). A strided ``conv2d`` must have stride == kernel, padding 0
+and dilation 1, else it raises ``ConfigurationError``; a
+``conv2d_transpose``'s stride is its kernel, so it takes no stride. Their
+blocks do not overlap, so each is a 1x1 conv of blocks (Shi et al. 2016,
+arXiv:1609.05158): of its input's, the permuted copy ``_space_to_depth``,
+in ``conv2d``; into its output's, by the adjoint
 ``_depth_to_space`` that sums nothing, in ``conv2d_transpose``. A
 convolution keeps no columns from forward to backward (Chen et al. 2016,
 arXiv:1604.06174). ``_conv_vjp`` builds one set of columns from the output
@@ -354,6 +355,8 @@ def _conv_vjp(gy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation,
             np.matmul(wf, cols, out=gx[images, :, band])
         if gwf is not None:
             gwf += _weight_grad(cols, x2[images, :, band])
+        # release this band's columns before _im2col builds the next band's
+        del cols
     if gx is not None:
         gx = gx.reshape(x.shape)
     if gwf is not None:
@@ -420,14 +423,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _node(y, (x, weight, bias), backward)
 
 
-def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                     stride=(2, 2)) -> Tensor:
+def conv2d_transpose(x: Tensor, weight: Tensor,
+                     bias: Tensor | None = None) -> Tensor:
     """Transposed (fractionally strided) convolution, zero output padding.
 
     weight: (out_c, in_c, kh, kw) where in_c matches the input channels.
-    The stride must equal the kernel (non-overlapping blocks, the 2x2 up
-    conv), so the output is the input times the stride per axis. It is the
-    1x1 conv whose out_c*kh*kw output channels are the output's blocks.
+    The stride is the kernel (non-overlapping blocks, the 2x2 up conv), so
+    the output is the input times the kernel per axis. It is the 1x1 conv
+    whose out_c*kh*kw output channels are the output's blocks.
     """
     n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
@@ -436,10 +439,6 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d_transpose channel mismatch: input shape {x.shape} has {c} "
             f"channels, weight shape {weight.shape} expects {ci}"
         )
-    if tuple(stride) != (kh, kw):
-        raise ConfigurationError(
-            f"conv2d_transpose needs a stride equal to its kernel, got stride "
-            f"{tuple(stride)} and kernel {kh}x{kw}")
 
     def weight1x1():
         return weight.data.transpose(0, 2, 3, 1).reshape(o * kh * kw, c, 1, 1)

@@ -48,7 +48,7 @@ class TrainConfig:
         if self.batch_size < 1 or self.patch_size < 1 or self.max_iters < 0:
             raise UsageError("batch_size and patch_size must be positive, "
                              "max_iters non-negative")
-        div = 2 ** (self.model.scales - 1)
+        div = self.model.divisor
         if self.patch_size % div:
             raise UsageError(
                 f"patch_size {self.patch_size} must be divisible by {div}")
@@ -165,7 +165,7 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        require_config_match(config.model, ck.config, resume_from)
+        require_config_match(config.model, ck.model.config, resume_from)
         model, adam, start = ck.model, ck.adam, ck.iteration
         rng = make_rng(config.seed)
         if ck.rng_state is not None:
@@ -220,8 +220,7 @@ def train(config: TrainConfig, resume_from=None, log_stream=None) -> tuple[str, 
         if config.checkpoint_interval and done % config.checkpoint_interval == 0:
             save(os.path.join(config.checkpoint_dir, f"ckpt_{done:08d}.sadn"), done)
     save(final_path, max(config.max_iters, start))
-    return final_path, Checkpoint(model.config, model, adam,
-                                  max(config.max_iters, start),
+    return final_path, Checkpoint(model, adam, max(config.max_iters, start),
                                   rng.bit_generator.state)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from sadnet import model as model_module
 from sadnet.checkpoint import save_checkpoint
 from sadnet.cli import main
 from sadnet.data import (ImageBuffer, ManifestEntry, load_image, read_manifest,
@@ -12,13 +14,16 @@ from conftest import synth_buffer
 from test_model import micro_config
 
 
-@pytest.fixture
-def micro_ckpt(tmp_path):
+def _save_micro_ckpt(path):
     model = SADNet(micro_config(), rng=np.random.default_rng(0),
                    dtype=np.float32)
-    path = tmp_path / "model.sadn"
     save_checkpoint(path, model, AdamState(), 0)
     return str(path)
+
+
+@pytest.fixture
+def micro_ckpt(tmp_path):
+    return _save_micro_ckpt(tmp_path / "model.sadn")
 
 
 @pytest.fixture
@@ -265,6 +270,27 @@ class TestFilesystemErrors:
         assert f"cannot write manifest {taken}: is a directory" in err
         assert not list((tmp_path / "noisy").glob("*.pgm"))
 
+    def test_manifest_is_the_out_dir(self, capsys, tmp_path, corpus):
+        noisy = tmp_path / "noisy"
+        code, out, err = self.make_noisy(
+            capsys, "--in-dir", str(corpus), "--out-dir", str(noisy),
+            "--sigma", "25", "--manifest", str(noisy))
+        assert (code, out) == (2, "")
+        assert f"cannot write manifest {noisy}: is a directory" in err
+        assert not list(noisy.glob("*.pgm"))
+
+    def test_failed_run_keeps_the_old_manifest(self, capsys, tmp_path,
+                                               corpus):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("old\n")
+        (corpus / "img9.pgm").write_bytes(b"P5\n")  # listed last, corrupt
+        code, out, _ = self.make_noisy(
+            capsys, "--in-dir", str(corpus), "--out-dir",
+            str(tmp_path / "noisy"), "--sigma", "25", "--manifest",
+            str(manifest))
+        assert (code, out) == (2, "")
+        assert manifest.read_text() == "old\n"
+
     def test_checkpoint_dir_is_a_file(self, capsys, tmp_path, corpus):
         noisy_dir = tmp_path / "noisy"
         run(capsys, "make-noisy", "--in-dir", str(corpus),
@@ -330,6 +356,20 @@ class TestExportOffsets:
             assert code == 1
             assert out == ""
             assert f"--points (points per axis) must be at least 1, got {points}" in err
+            assert not out_csv.exists()
+
+    def test_points_above_longer_side_is_usage_error(self, capsys, rng,
+                                                     tmp_path, micro_ckpt):
+        img = random_image(rng, tmp_path / "wide.pgm", 8, 12)
+        out_csv = tmp_path / "offsets.csv"
+        # 2**62 points is past numpy's largest array: nothing is allocated
+        for points in ("13", str(2 ** 62)):
+            code, out, err = run(capsys, "export-offsets", "--ckpt", micro_ckpt,
+                                 "--in", img, "--out", str(out_csv),
+                                 "--points", points)
+            assert (code, out) == (1, "")
+            assert (f"--points (points per axis) must be at most 12, the "
+                    f"image's longer side, got {points}") in err
             assert not out_csv.exists()
 
     def test_any_image_size(self, capsys, rng, tmp_path, micro_ckpt):
@@ -463,3 +503,89 @@ class TestGradcheckCommand:
         lines = out.splitlines()
         assert lines[-1].startswith("PASS")
         assert all("ok" in l or l.startswith("PASS") for l in lines)
+
+
+class TestOutOfMemory:
+    """A config that needs more memory than there is names the config file
+    (exit 1). The weight allocation is made to fail, so nothing is
+    allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_memory(self, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 15.2 GiB")
+        monkeypatch.setattr(model_module, "_he_uniform", refuse)
+
+    def test_inspect(self, capsys, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("kernel_size = 999\n")
+        code, out, err = run(capsys, "inspect", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"{cfg}: config needs more memory than is available" in err
+
+    def test_train(self, capsys, tmp_path, corpus):
+        noisy_dir = tmp_path / "noisy"
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(noisy_dir), "--sigma", "25")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+            "kernel_size = 999\npatch_size = 16\nbatch_size = 2\n"
+            f"max_iters = 1\nmanifest = {noisy_dir / 'manifest.tsv'}\n"
+            f"checkpoint_dir = {tmp_path / 'ckpt'}\n")
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"{cfg}: config needs more memory than is available" in err
+
+
+@pytest.fixture(scope="module")
+def value_inputs(tmp_path_factory):
+    """A micro checkpoint, an 8x8 image and a one-image 16x16 corpus."""
+    base = tmp_path_factory.mktemp("values")
+    rng = np.random.default_rng(3)
+    (base / "clean").mkdir()
+    save_image(synth_buffer(rng, 16), base / "clean" / "a.pgm")
+    return {"ckpt": _save_micro_ckpt(base / "model.sadn"),
+            "image": random_image(rng, base / "img.pgm", 8, 8),
+            "corpus": str(base / "clean"), "base": base}
+
+
+_VALUE_SETTINGS = settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+_ANY_INT = st.one_of(st.integers(-2, 10), st.integers(-2 ** 70, 2 ** 70))
+
+
+class TestCliValuesProperty:
+    """Every value of a numeric flag ends in a documented exit code with a
+    message, never a traceback."""
+
+    @staticmethod
+    def run_values(capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @_VALUE_SETTINGS
+    @given(height=_ANY_INT, width=_ANY_INT)
+    def test_inspect_size(self, capsys, height, width):
+        self.run_values(capsys, "inspect", f"--height={height}",
+                        f"--width={width}")
+
+    @_VALUE_SETTINGS
+    @given(points=_ANY_INT)
+    @example(points=2 ** 62)  # past numpy's largest array
+    def test_export_offsets_points(self, capsys, value_inputs, points):
+        self.run_values(capsys, "export-offsets", "--ckpt",
+                        value_inputs["ckpt"], "--in", value_inputs["image"],
+                        "--out", str(value_inputs["base"] / "offsets.csv"),
+                        f"--points={points}")
+
+    @_VALUE_SETTINGS
+    @given(sigma=st.floats(), seed=_ANY_INT)
+    def test_make_noisy_sigma_seed(self, capsys, tmp_path_factory,
+                                   value_inputs, sigma, seed):
+        out_dir = tmp_path_factory.mktemp("noisy") / "out"
+        self.run_values(capsys, "make-noisy", "--in-dir",
+                        value_inputs["corpus"], "--out-dir", str(out_dir),
+                        f"--sigma={sigma!r}", f"--seed={seed}")
