@@ -145,9 +145,18 @@ def from_tensor(t: Tensor) -> ImageBuffer:
 # ---------------------------------------------------------------------------
 
 
+# Largest sigma whose noise float32 holds: a standard normal draw stays far
+# below 64, and the noise is sigma/255 times one.
+_SIGMA_MAX = 255 * float(np.finfo(np.float32).max) / 64
+
+
 def _check_sigma(sigma: float) -> None:
     if not math.isfinite(sigma) or sigma < 0:
         raise UsageError(f"sigma must be finite and non-negative, got {sigma}")
+    if sigma > _SIGMA_MAX:
+        raise UsageError(
+            f"sigma must be at most {_SIGMA_MAX:.4g}, where its noise would "
+            f"overflow float32; got {sigma}")
 
 
 def add_awgn(image: Tensor, spec: NoiseSpec) -> Tensor:
@@ -233,6 +242,10 @@ def read_manifest(path) -> list[ManifestEntry]:
         if not math.isfinite(sigma) or sigma < 0:
             raise DataError(f"{path}:{lineno}: sigma must be finite "
                             f"and non-negative, got {parts[2]}")
+        if sigma > _SIGMA_MAX:
+            raise DataError(f"{path}:{lineno}: sigma must be at most "
+                            f"{_SIGMA_MAX:.4g}, where its noise would "
+                            f"overflow float32; got {parts[2]}")
         entries.append(ManifestEntry(parts[0], parts[1], sigma, seed))
     return entries
 

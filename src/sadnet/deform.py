@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _bands, _bias_grad, _node, _weight_grad
+from .tensor import Tensor, _bands, _bias_grad, _node, _reused, _weight_grad
 
 # Zero padding of the sampled input; the [-2, h] clamp keeps every corner in.
 _PAD = 2
@@ -84,14 +84,6 @@ def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):
     shift = (np.array([0, 1, wp, wp + 1])[:, None, None]
              + ((np.arange(nb) * (hi - lo) - lo) * wp)[:, None])
     return base, fy, fx, win.reshape(-1, c), shift
-
-
-def _reused(store: dict, key: str, shape, dtype) -> np.ndarray:
-    """store[key] viewed as shape, reallocated only when it is too small."""
-    size = int(np.prod(shape))
-    if key not in store or store[key].size < size:
-        store[key] = np.empty(size, dtype)
-    return store[key][:size].reshape(shape)
 
 
 def _corner_weights(fy: np.ndarray, fx: np.ndarray, m: np.ndarray):

@@ -72,6 +72,11 @@ class ModelConfig:
                 f"the coarsest channel count {self.channels_per_scale[-1]}")
         if self.resblocks_per_scale < 1 or self.rsabs_per_scale < 1:
             raise ConfigurationError("block counts must be >= 1")
+        if not 0 <= self.leaky_slope <= 1:
+            # leaky ReLU runs as max(x, slope*x), which needs this range
+            raise ConfigurationError(
+                f"leaky_slope must be finite and in [0, 1], got "
+                f"{self.leaky_slope}")
 
     @property
     def k_taps(self) -> int:

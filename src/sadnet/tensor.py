@@ -18,13 +18,20 @@ freed during the sweep instead of waiting for the cyclic collector. Leaves
 (parameters, inputs) keep their ``grad``. A second ``backward()`` on the same
 graph is unsupported; build the graph again instead.
 
-Every dense convolution runs on one core: ``_conv``, a batched GEMM of the
-(out_c, in_c*kh*kw) weight matrix with (n, c*kh*kw, oh*ow) stride-1
-columns, and its adjoint ``_conv_vjp``. ``_im2col`` builds the columns,
-reading zeros wherever the window leaves the input (so zero padding needs
-no padded copy). A strided ``conv2d`` must have stride == kernel, padding 0
-and dilation 1, else it raises ``ConfigurationError``; a
-``conv2d_transpose``'s stride is its kernel, so it takes no stride. Their
+Every dense convolution runs on one core: ``_conv`` and its adjoint
+``_conv_vjp``. ``_conv`` copies its input once per kernel row, as
+whole-width row slabs (n, c*kh, oh*w) that read zeros above and below the
+input, and runs one GEMM of the weight as a (kw*out_c, in_c*kh) matrix
+with them. The output is the sum of the product's kw row blocks, block kj
+shifted by kj*dw - pw columns, with zeros where it leaves the input (MEC,
+Cho & Brand 2017, arXiv:1706.06873; kn2row, Anderson et al. 2017,
+arXiv:1709.03395): 1/kw of the bytes of im2col columns, copied in whole
+rows. ``_conv_vjp`` runs on (n, c*kh*kw, oh*ow) stride-1 columns that
+``_im2col`` builds, reading zeros wherever the window leaves the input (so
+zero padding needs no padded copy). A strided ``conv2d`` must have stride
+== kernel, padding 0 and dilation 1, else it raises
+``ConfigurationError``; a ``conv2d_transpose``'s stride is its kernel, so
+it takes no stride. Their
 blocks do not overlap, so each is a 1x1 conv of blocks (Shi et al. 2016,
 arXiv:1609.05158): of its input's, the permuted copy ``_space_to_depth``,
 in ``conv2d``; into its output's, by the adjoint
@@ -42,34 +49,41 @@ its input's blocks for them. Both rely on the ``Tensor`` convention that
 step holds only the graph's own tensors.
 
 ``_conv``, ``_conv_vjp`` and the deformable conv work in bands of rows
-(``_bands``): im2col and GEMM in forward, and the columns, weight gradient
-and input gradient in backward, run one band at a time, and each band's
-columns fit in ``_BAND_BYTES`` (16 MiB; at least one row of one image).
-Forward bands split output rows; ``_conv_vjp``'s bands split input rows,
-and its columns count o*kh*kw per input pixel. So what one op allocates
-beyond its inputs, output and gradients does not grow with the image. Whole
-images share a band while they fit, which leaves small layers in one band.
-The columns of a 1x1 conv are views of its input; a strided ``conv2d``'s
-space-to-depth copy is the size of its input.
+(``_bands``): row slabs, GEMM and shifted adds in forward, and the columns,
+weight gradient and input gradient in backward, run one band at a time,
+and what a band builds fits in ``_BAND_BYTES`` (16 MiB; at least one row of
+one image). ``_conv``'s bands split output rows and count c*kh slab rows
+and kw*o product rows per input pixel, in buffers that the bands of one
+call share (``_reused``); ``_conv_vjp``'s bands split input rows, and its
+columns count o*kh*kw per input pixel. So what one op allocates beyond its
+inputs, output and gradients does not grow with the image. Whole images
+share a band while they fit, which leaves small layers in one band. An
+unpadded 1x1 conv copies nothing: in forward its slabs are views of its
+input and its GEMM writes the output's rows, and in backward its columns
+are views of the output gradient. A strided ``conv2d``'s space-to-depth
+copy is the size of its input.
 
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
 upcast its operands.
 
 Determinism: all forward and backward computations are plain sequential
-numpy expressions; the reduction order is fixed (GEMM over the columns,
-kernel positions in row-major order, bands from the first image and row to
-the last), so two runs on identical inputs produce bit-identical results.
+numpy expressions; the reduction order is fixed (in forward, the GEMM over
+(channel, kernel row), then the shifted adds in kernel-column order; in
+backward, the GEMM over the columns, kernel positions in row-major order;
+bands from the first image and row to the last), so two runs on identical
+inputs produce bit-identical results.
 Weight-gradient partials are summed band by band in that order, so a
 gradient may differ in the last bits from an unbanded sum. Every
 ``conv2d`` backward writes each input-gradient row once. Splitting the
 GEMM's columns into bands leaves each output element's dot product alone,
 but OpenBLAS may round a narrow column block otherwise than the same
-columns inside a wide one; forwards of the stock model at 160x240 and 320x480 matched the
-unbanded ones bit for bit. The deformable conv's channels-last GEMM sums a
-pixel's products in (tap, channel) order, ``conv2d``'s in (channel, tap)
-order, so with zero offsets and unit masks the two (acceptance criterion 1)
-may differ by rounding instead of exactly 0, but stay within 1e-6.
+columns inside a wide one; forwards of the stock model at 160x240 and
+320x480 matched the unbanded ones bit for bit. The deformable conv's
+channels-last GEMM sums a pixel's products in (tap, channel) order,
+``conv2d`` in (channel, kernel row) order and then over kernel columns, so
+with zero offsets and unit masks the two (acceptance criterion 1) may
+differ by rounding instead of exactly 0, but stay within 1e-6.
 """
 
 from __future__ import annotations
@@ -206,7 +220,7 @@ def _span(start: int, count: int, size: int) -> tuple[int, int]:
 def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
             dilation, origin=(0, 0)) -> np.ndarray:
     """Stride-1 columns (n, c*kh*kw, out_h*out_w) of a window of a, ready
-    for a GEMM.
+    for ``_conv_vjp``'s GEMMs.
 
     Output pixel (i, j) of tap (ki, kj) reads a[:, :, r + ki*dh + i,
     q + kj*dw + j] with (r, q) = ``origin``, and 0 wherever that falls
@@ -264,17 +278,17 @@ def _depth_to_space(blocks: np.ndarray, out: np.ndarray, kh: int,
     return out
 
 
-# Most bytes one band's columns may take. Convolutions build their columns,
-# run their GEMMs and write their column gradients band by band, so what
-# one op allocates stays near this size whatever the image size. 16 MiB
-# keeps every deformable conv of a batch-4, patch-64 training step in one
-# band (the largest, the backward of a 4x8x64x64 one, counts 16.4 MB of
+# Most bytes one band may build. Convolutions build their row slabs or
+# columns, run their GEMMs and write their column gradients band by band,
+# so what one op allocates stays near this size whatever the image size.
+# 16 MiB keeps every deformable conv of a batch-4, patch-64 training step in
+# one band (the largest, the backward of a 4x8x64x64 one, counts 16.4 MB of
 # columns, gradients and tables), so small arrays pay no per-band overhead.
-# Every stride-1 conv2d backward of that step takes one band too (the
-# largest, the 35->27 scale-0 offset head, builds 15.9 MB of output-gradient
-# columns); only that head's forward (20.6 MB of input columns) takes two.
-# A 320x480 stock denoise peaks at less than half of what whole-image
-# columns take.
+# Every stride-1 conv2d of that step takes one band too, forward and
+# backward: the largest, the 35->27 scale-0 offset head, builds 12.2 MB of
+# row slabs and GEMM product in forward (im2col columns would be 20.6 MB)
+# and 15.9 MB of output-gradient columns in backward. A 320x480 stock
+# denoise peaks at less than half of what whole-image columns take.
 _BAND_BYTES = 16 << 20
 
 
@@ -309,21 +323,73 @@ def _bias_grad(gy: np.ndarray) -> np.ndarray:
     return gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
 
 
+def _reused(store: dict, key: str, shape, dtype) -> np.ndarray:
+    """store[key] viewed as shape, reallocated only when it is too small."""
+    size = int(np.prod(shape))
+    if key not in store or store[key].size < size:
+        store[key] = np.empty(size, dtype)
+    return store[key][:size].reshape(shape)
+
+
 def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
-    """Stride-1 cross-correlation of arrays, (n, c, h, w) by (o, c, kh, kw):
-    one im2col and GEMM per band of output rows."""
+    """Stride-1 cross-correlation of arrays, (n, c, h, w) by (o, c, kh, kw),
+    per band of output rows: kh row-shifted copies of the input, one GEMM
+    for all kw kernel columns, and kw column-shifted adds."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    out_h = conv_output_size(h, kh, 1, dilation[0], padding[0])
-    out_w = conv_output_size(wd, kw, 1, dilation[1], padding[1])
-    w2 = w.reshape(o, -1)
-    y = np.empty((n, o, out_h * out_w), dtype=np.result_type(w2, x))
-    # each band's columns go with its GEMM, before the next band's are built
-    for images, r0, r1 in _bands(n, out_h, c * kh * kw * out_w * x.itemsize):
-        np.matmul(w2, _im2col(x[images], kh, kw, r1 - r0, out_w, dilation,
-                              (r0 - padding[0], -padding[1])),
-                  out=y[images, :, r0 * out_w: r1 * out_w])
-    return y.reshape(n, o, out_h, out_w)
+    dh, dw = dilation
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, 1, dh, ph)
+    out_w = conv_output_size(wd, kw, 1, dw, pw)
+    # row kj*o + oc of the weight pairs with slab row ci*kh + ki
+    w2 = w.transpose(3, 0, 1, 2).reshape(kw * o, c * kh)
+    dtype = np.result_type(w2, x)
+    y = np.empty((n, o, out_h, out_w), dtype=dtype)
+    direct = kw == 1 and pw == 0  # one kernel column, no shift: rows of y
+    # the bands share one buffer of slabs and product, so its pages fault in
+    # once per call; with two buffers, freeing both made glibc hand the pages
+    # back to the system after every call (about 1000 faults per call at
+    # 2x32x128x128)
+    store = {}
+    for images, r0, r1 in _bands(n, out_h, (c * kh + kw * o) * wd
+                                 * dtype.itemsize):
+        xb = x[images]
+        nb, rows, r = len(xb), r1 - r0, r0 - ph
+        view = kh == 1 and 0 <= r <= h - rows
+        slab_size = 0 if view else nb * c * kh * rows * wd
+        band = _reused(store, "band", slab_size + (
+            0 if direct else nb * kw * o * rows * wd), dtype)
+        if view:
+            slabs = xb[:, :, r: r + rows].reshape(nb, c, rows * wd)
+        else:
+            # slab ki holds input rows r + ki*dh + i, zero outside the input
+            slabs = band[:slab_size].reshape(nb, c, kh, rows, wd)
+            for ki in range(kh):
+                s = r + ki * dh
+                i0, i1 = _span(s, rows, h)
+                slabs[:, :, ki, :i0] = 0
+                slabs[:, :, ki, i1:] = 0
+                slabs[:, :, ki, i0:i1] = xb[:, :, s + i0: s + i1]
+            slabs = slabs.reshape(nb, c * kh, rows * wd)
+        if direct:
+            np.matmul(w2, slabs,
+                      out=y.reshape(n, o, -1)[images, :, r0 * wd: r1 * wd])
+            continue
+        prod = np.matmul(w2, slabs, out=band[slab_size:].reshape(
+            nb, kw * o, rows * wd)).reshape(nb, kw, o, rows, wd)
+        yb = y[images, :, r0:r1]
+        # output column j of kernel column kj reads input column j + q
+        for kj in range(kw):
+            q = kj * dw - pw
+            j0, j1 = _span(q, out_w, wd)
+            part = prod[:, kj, :, :, q + j0: q + j1]
+            if kj == 0:
+                yb[..., :j0] = 0
+                yb[..., j1:] = 0
+                yb[..., j0:j1] = part
+            else:
+                yb[..., j0:j1] += part
+    return y
 
 
 def _conv_vjp(gy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation,
@@ -470,13 +536,16 @@ def conv2d_transpose(x: Tensor, weight: Tensor,
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    mask = x.data >= 0
-    y = np.where(mask, x.data, slope * x.data)
+    """max(x, slope*x), which is leaky ReLU for a slope in [0, 1]
+    (``ModelConfig.validate`` holds the model's to that)."""
+    y = x.data * slope
+    np.maximum(x.data, y, out=y)
 
     def backward(gy):
-        # scaling the gradient itself keeps its dtype; a float64 factor
-        # array would promote every gradient below this op
-        x.accumulate_grad(np.where(mask, gy, slope * gy))
+        # the sign comes again from x, so forward keeps no mask; scaling the
+        # gradient itself keeps its dtype, where a float64 factor array would
+        # promote every gradient below this op
+        x.accumulate_grad(np.where(x.data >= 0, gy, slope * gy))
 
     return _node(y, (x,), backward)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -83,6 +85,16 @@ class TestInspect:
         fields = dict(line.split("\t") for line in out.splitlines())
         assert fields["leaky_slope"] == "0.05"
         assert fields["in_channels"] == "3"
+
+    @pytest.mark.parametrize("slope", ["-0.1", "1.5", "nan", "inf"])
+    def test_leaky_slope_outside_unit_interval_is_config_error(
+            self, capsys, tmp_path, slope):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"leaky_slope = {slope}\n")
+        code, out, err = run(capsys, "inspect", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "leaky_slope must be finite and in [0, 1]" in err
+        assert "Traceback" not in err
 
     def test_non_positive_size_is_usage_error(self, capsys):
         for flag in ("--height", "--width"):
@@ -562,9 +574,12 @@ class TestCliValuesProperty:
 
     @staticmethod
     def run_values(capsys, *argv):
-        code, _, err = run(capsys, *argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+        assert [w for w in caught if w.category is RuntimeWarning] == []
 
     @_VALUE_SETTINGS
     @given(height=_ANY_INT, width=_ANY_INT)
@@ -583,6 +598,7 @@ class TestCliValuesProperty:
 
     @_VALUE_SETTINGS
     @given(sigma=st.floats(), seed=_ANY_INT)
+    @example(sigma=1e41, seed=0)  # its noise overflows float32
     def test_make_noisy_sigma_seed(self, capsys, tmp_path_factory,
                                    value_inputs, sigma, seed):
         out_dir = tmp_path_factory.mktemp("noisy") / "out"

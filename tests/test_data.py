@@ -95,6 +95,12 @@ class TestAWGN:
         with pytest.raises(UsageError, match="sigma must be finite"):
             add_awgn(Tensor(rng.random((1, 1, 4, 4))), NoiseSpec(sigma, 0))
 
+    def test_sigma_whose_noise_overflows_float32_rejected(self, rng):
+        image = Tensor(rng.random((1, 1, 4, 4)).astype(np.float32))
+        assert np.isfinite(add_awgn(image, NoiseSpec(1e39, 0)).data).all()
+        with pytest.raises(UsageError, match=r"at most 1\.356e\+39"):
+            add_awgn(image, NoiseSpec(1e41, 0))
+
     def test_noise_statistics_sigma_50(self):
         x = Tensor(np.full((1, 1, 500, 500), 0.5))
         y = add_awgn(x, NoiseSpec(50.0, 7))

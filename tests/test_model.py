@@ -218,7 +218,9 @@ class TestSADNet:
         for bad in (dict(kernel_size=4), dict(kernel_size=0),
                     dict(updown_kernel=0), dict(updown_kernel=1),
                     dict(updown_kernel=3), dict(context_compression=0),
-                    dict(context_dilations=(1, 0, 3, 4))):
+                    dict(context_dilations=(1, 0, 3, 4)),
+                    dict(leaky_slope=-0.05), dict(leaky_slope=1.01),
+                    dict(leaky_slope=float("nan"))):
             with pytest.raises(ConfigurationError):
                 ModelConfig(**bad).validate()
 

@@ -74,32 +74,34 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_property_matches_reference(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        n = data.draw(st.integers(1, 2))
-        c = data.draw(st.integers(1, 3))
-        o = data.draw(st.integers(1, 3))
-        k = data.draw(st.integers(1, 3))
-        stride = data.draw(st.integers(1, 2))
-        dil = data.draw(st.integers(1, 4))
-        pad = data.draw(st.integers(0, 4))
-        if stride > 1:  # strided convs are non-overlapping blocks
-            k, dil, pad = stride, 1, 0
-        span = dil * (k - 1) + 1
-        lo = max(1, span - 2 * pad)  # up to 9 when k=3, dil=4, pad=0
-        h = data.draw(st.integers(lo, max(lo, 8)))
-        w_dim = data.draw(st.integers(lo, max(lo, 8)))
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+           c=st.integers(1, 3), o=st.integers(1, 3),
+           kh=st.integers(1, 3), kw=st.integers(1, 3),
+           sh=st.integers(1, 2), sw=st.integers(1, 2),
+           dh=st.integers(1, 4), dw=st.integers(1, 4),
+           ph=st.integers(0, 4), pw=st.integers(0, 4),
+           h=st.integers(1, 9), w_dim=st.integers(1, 9))
+    # the row and column spans differ: rows narrower than the input
+    # (p < d*(k-1)), columns wider (p > d*(k-1))
+    @example(seed=4, n=2, c=2, o=3, kh=3, kw=2, sh=1, sw=1, dh=2, dw=1,
+             ph=1, pw=3, h=8, w_dim=5)
+    # and rows wider, columns narrower
+    @example(seed=5, n=1, c=3, o=2, kh=2, kw=3, sh=1, sw=1, dh=1, dw=3,
+             ph=2, pw=1, h=4, w_dim=9)
+    def test_property_matches_reference(self, seed, n, c, o, kh, kw, sh, sw,
+                                        dh, dw, ph, pw, h, w_dim):
+        if (sh, sw) != (1, 1):  # strided convs are non-overlapping blocks
+            kh, kw, dh, dw, ph, pw = sh, sw, 1, 1, 0, 0
+        out_h = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
+        out_w = (w_dim + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+        assume(out_h >= 1 and out_w >= 1)
+        rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w_dim))
-        w = rng.standard_normal((o, c, k, k))
+        w = rng.standard_normal((o, c, kh, kw))
         b = rng.standard_normal((1, o, 1, 1))
-        out_h = (h + 2 * pad - dil * (k - 1) - 1) // stride + 1
-        out_w = (w_dim + 2 * pad - dil * (k - 1) - 1) // stride + 1
-        if out_h < 1 or out_w < 1:
-            return
-        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), (stride, stride),
-                     (dil, dil), (pad, pad))
-        ref = conv2d_reference(x, w, b, (stride, stride), (dil, dil), (pad, pad))
+        args = (sh, sw), (dh, dw), (ph, pw)
+        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), *args)
+        ref = conv2d_reference(x, w, b, *args)
         np.testing.assert_allclose(y.data, ref, rtol=1e-6, atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
@@ -246,6 +248,13 @@ class TestForwardKeepsNoColumns:
             lambda: modulated_deform_conv2d(*tensors, (1, 1)))
         assert grown <= out.data.nbytes + 64 * 1024
 
+    def test_leaky_relu(self, rng):
+        # backward reads the sign from x, which the graph holds anyway
+        x = Tensor(rng.standard_normal((1, 32, 64, 64), dtype=np.float32),
+                   requires_grad=True)
+        grown, out = _forward_growth(lambda: T.leaky_relu(x, 0.1))
+        assert grown <= out.data.nbytes + 64 * 1024
+
 
 def _conv_case(rng, stride, dilation, padding, k=3):
     """A conv2d and its inputs: 2 images of a ragged size."""
@@ -367,11 +376,11 @@ class TestBands:
             lambda *t: modulated_deform_conv2d(*t, (1, 1)), arrays, gy)
         assert bands == [(slice(0, 4), 0, size)] * 2
 
-    def test_smoke_step_stride1_backward_takes_one_band(self, monkeypatch,
-                                                        rng):
-        # one forward and backward of the acceptance smoke config (batch 4,
-        # patch 64) under the real budget: every stride-1 conv2d backward
-        # pays no per-band overhead
+    @staticmethod
+    def _check_smoke_step_one_band(monkeypatch, rng, when):
+        """One forward and backward of the acceptance smoke config (batch
+        4, patch 64) under the real budget: every stride-1 conv2d pays no
+        per-band overhead in phase ``when``."""
         bands = {}  # (call, phase) -> bands
         phase = [None]
         calls = itertools.count()
@@ -390,12 +399,13 @@ class TestBands:
                     f"d{dilation[0]} @{x.shape[2]}")
             phase[0] = (name, "forward")
             out = real_conv(x, weight, bias, stride, dilation, padding)
+            phase[0] = None  # other ops' bands are not this conv's
             inner = out._backward
 
             def backward():
                 phase[0] = (name, "backward")
                 inner()
-                phase[0] = None  # other ops' bands are not this conv's
+                phase[0] = None
             out._backward = backward
             return out
         monkeypatch.setattr(T, "_bands", recording)
@@ -405,10 +415,22 @@ class TestBands:
                        rng=np.random.default_rng(0))
         x = Tensor(rng.random((4, 1, 64, 64), dtype=np.float32))
         T.loss("L1", model(x), Tensor(x.data.copy())).backward()
-        stride1 = [(name, len(b)) for (name, when), b in bands.items()
-                   if when == "backward" and " s1 " in name]
+        stride1 = [(name, len(b)) for (name, phase), b in bands.items()
+                   if phase == when and " s1 " in name]
         assert len(stride1) == 31
         assert [c for c in stride1 if c[1] > 1] == []
+
+    def test_smoke_step_stride1_forward_takes_one_band(self, monkeypatch,
+                                                       rng):
+        # the largest forward, the 35->27 scale-0 offset head, builds
+        # 12.2 MB of row slabs and GEMM product (im2col columns: 20.6 MB)
+        self._check_smoke_step_one_band(monkeypatch, rng, "forward")
+
+    def test_smoke_step_stride1_backward_takes_one_band(self, monkeypatch,
+                                                        rng):
+        # the largest, the same head, builds 15.9 MB of output-gradient
+        # columns
+        self._check_smoke_step_one_band(monkeypatch, rng, "backward")
 
 
 class TestBoundedTransients:
@@ -480,6 +502,28 @@ class TestBoundedTransients:
             tracemalloc.stop()
         assert peak <= gx.nbytes + gw.nbytes + T._BAND_BYTES + (1 << 19)
 
+    def test_conv_forward_holds_row_slabs(self, rng):
+        # one band: kh row copies of the input and the kw*o-row GEMM
+        # product, where im2col columns would take c*kh*kw rows per pixel
+        x = rng.standard_normal((2, 16, 64, 64), dtype=np.float32)
+        w = rng.standard_normal((16, 16, 3, 3), dtype=np.float32)
+        n, c, h, wd = x.shape
+        o, _, kh, kw = w.shape
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = T._conv(x, w, (1, 1), (1, 1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slabs_and_product = (c * kh + kw * o) * n * h * wd * x.itemsize
+        # a ufunc over strided operands (the shifted adds) buffers each of
+        # its 3 operands, up to np.getbufsize() elements
+        ufunc_buffers = 3 * np.getbufsize() * x.itemsize
+        assert peak <= (y.nbytes + slabs_and_product + ufunc_buffers
+                        + (1 << 16))
+
     def test_modulated_deform_conv2d(self, rng):
         arrays = (rng.standard_normal((1, 32, 320, 480), dtype=np.float32),
                   rng.standard_normal((32, 32, 3, 3), dtype=np.float32),
@@ -515,6 +559,24 @@ class TestPointwise:
         assert T.leaky_relu(x, 0.2).item() == pytest.approx(-0.2)
         x = Tensor(np.array(3.0).reshape(1, 1, 1, 1))
         assert T.leaky_relu(x, 0.2).item() == 3.0
+
+    @pytest.mark.parametrize("slope", [0.0, 0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_is_the_select_bit_for_bit(self, rng, slope, dtype):
+        # max(x, slope*x) against where(x >= 0, x, slope*x), signed zeros,
+        # NaN and huge values included
+        x = rng.standard_normal((2, 3, 8, 8)).astype(dtype) * 1e3
+        x.flat[:6] = [0.0, -0.0, np.nan, 1e-40, -1e-40,
+                      np.finfo(dtype).min]
+        gy = rng.standard_normal(x.shape).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        y = T.leaky_relu(t, slope)
+        T.tensor_sum(T.mul(y, Tensor(gy))).backward()
+        mask = x >= 0
+        ref = np.where(mask, x, slope * x)
+        assert y.data.dtype == t.grad.dtype == dtype
+        assert y.data.tobytes() == ref.tobytes()
+        assert t.grad.tobytes() == np.where(mask, gy, slope * gy).tobytes()
 
     def test_sigmoid_symmetry(self):
         assert T.sigmoid(Tensor(np.zeros((1, 1, 1, 1)))).item() == 0.5

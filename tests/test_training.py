@@ -341,7 +341,7 @@ class TestTrainingSet:
                                  r"3 channels; model expects 1"):
             train(cfg)
 
-    @pytest.mark.parametrize("sigma", ["-5", "nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["-5", "nan", "inf", "1e41"])
     def test_bad_manifest_sigma_rejected_before_any_step(self, rng, tmp_path,
                                                          sigma):
         cfg = tiny_train_config(tmp_path, rng)
