@@ -125,6 +125,11 @@ def _cmd_export_offsets(args) -> int:
     return 0
 
 
+# each command's input, named when it is too large for memory
+_INPUTS = {"denoise": "input", "eval": "manifest", "export-offsets": "input",
+           "make-noisy": "in_dir"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -158,12 +163,17 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        # a config can ask for more than there is (kernel_size 999, say)
-        if getattr(args, "config", None) is None:
+        # a config can ask for more than there is (kernel_size 999, say), and
+        # so can an image: a 12-MP one has 1.5 GB per full-size activation
+        if getattr(args, "config", None) is not None:
+            print(f"error: {args.config}: config needs more memory than is "
+                  f"available: {exc}", file=sys.stderr)
+            return 1
+        if args.command not in _INPUTS:
             raise
-        print(f"error: {args.config}: config needs more memory than is "
-              f"available: {exc}", file=sys.stderr)
-        return 1
+        print(f"data error: {getattr(args, _INPUTS[args.command])}: input too "
+              f"large for the available memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

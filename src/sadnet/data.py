@@ -162,8 +162,6 @@ def _check_sigma(sigma: float) -> None:
 def add_awgn(image: Tensor, spec: NoiseSpec) -> Tensor:
     """Add i.i.d. Gaussian noise with std sigma/255; never clipped here."""
     _check_sigma(spec.sigma)
-    if spec.sigma == 0:
-        return Tensor(image.data.copy())
     rng = make_rng(spec.seed)
     noise = rng.normal(0.0, spec.sigma / 255.0, size=image.shape)
     return Tensor(image.data + noise.astype(image.data.dtype))

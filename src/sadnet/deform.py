@@ -38,17 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _bands, _bias_grad, _node, _reused, _weight_grad
+from .tensor import (Tensor, _bands, _bias_grad, _node, _reused, _span,
+                     _weight_grad)
 
 # Zero padding of the sampled input; the [-2, h] clamp keeps every corner in.
 _PAD = 2
-
-
-def _inside(p0: int, p1: int, ph: int, h: int) -> tuple[slice, slice]:
-    """The input rows among padded rows [p0, p1), and their place there."""
-    lo = max(p0 - ph, 0)
-    hi = max(min(p1 - ph, h), lo)
-    return slice(lo, hi), slice(lo - p0 + ph, hi - p0 + ph)
 
 
 def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):
@@ -79,8 +73,10 @@ def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):
     # padded rows [lo, hi) hold every corner of the band
     lo, hi = int(base.min()) // wp, int(base.max()) // wp + 2
     win = np.zeros((nb, hi - lo, wp, c), dtype=x.dtype)
-    src, at = _inside(lo, hi, _PAD, h)
-    win[:, at, _PAD:_PAD + w] = x[:, :, src].transpose(0, 2, 3, 1)
+    top = lo - _PAD  # the input row at window row 0
+    i0, i1 = _span(top, hi - lo, h)
+    win[:, i0:i1, _PAD:_PAD + w] = x[:, :, top + i0: top + i1].transpose(
+        0, 2, 3, 1)
     shift = (np.array([0, 1, wp, wp + 1])[:, None, None]
              + ((np.arange(nb) * (hi - lo) - lo) * wp)[:, None])
     return base, fy, fx, win.reshape(-1, c), shift

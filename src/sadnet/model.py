@@ -12,7 +12,7 @@ the identity at step 0, so the trainable path models only the noise.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -45,12 +45,18 @@ class ModelConfig:
     updown_kernel: int = 2
 
     def validate(self) -> None:
+        for key, kind in _field_types(ModelConfig).items():
+            if not _fits(getattr(self, key), kind):
+                raise ConfigurationError(
+                    f"model config {key}: {getattr(self, key)!r} does not fit "
+                    f"its {kind.__name__} field")
         if self.in_channels not in (1, 3):
             raise ConfigurationError(f"in_channels must be 1 or 3, got {self.in_channels}")
-        if len(self.channels_per_scale) != self.scales:
+        if self.scales < 1 or len(self.channels_per_scale) != self.scales:
             raise ConfigurationError(
-                f"channels_per_scale has {len(self.channels_per_scale)} entries "
-                f"for {self.scales} scales")
+                f"scales must be at least 1, with one channels_per_scale "
+                f"entry each; got {len(self.channels_per_scale)} entries for "
+                f"{self.scales} scales")
         if any(c < 1 for c in self.channels_per_scale):
             raise ConfigurationError("channels_per_scale entries must be positive")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -62,10 +68,10 @@ class ModelConfig:
             # below, and inputs are padded to a multiple of ``divisor``
             raise ConfigurationError(
                 f"updown_kernel must be 2, got {self.updown_kernel}")
-        if (self.context_compression < 1
+        if (self.context_compression < 1 or not self.context_dilations
                 or any(d < 1 for d in self.context_dilations)):
             raise ConfigurationError(
-                "context_compression and context_dilations must be positive")
+                "context_compression and context_dilations (at least one) must be positive")
         if self.channels_per_scale[-1] % self.context_compression != 0:
             raise ConfigurationError(
                 f"context_compression {self.context_compression} does not divide "
@@ -95,10 +101,28 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The inverse of ``to_dict``; ``validate`` checks each value's type
+        as well as its range."""
         cfg = replace(cls(**d), **{k: tuple(v) for k, v in d.items()
                                    if isinstance(v, list)})
         cfg.validate()
         return cfg
+
+
+def _field_types(cls) -> dict:
+    """Config keys: each field with a plain default, typed by that default."""
+    return {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a value fits a config field of type ``kind`` as a config
+    file's parsed value does: an int field takes an int, a float field an
+    int or a float, a tuple field a tuple of ints; a bool is none of them
+    (a checkpoint's JSON may hold any JSON type)."""
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_fits(v, int) for v in value)
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float) if kind is float else kind))
 
 
 @dataclass

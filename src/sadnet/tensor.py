@@ -57,11 +57,10 @@ and kw*o product rows per input pixel, in buffers that the bands of one
 call share (``_reused``); ``_conv_vjp``'s bands split input rows, and its
 columns count o*kh*kw per input pixel. So what one op allocates beyond its
 inputs, output and gradients does not grow with the image. Whole images
-share a band while they fit, which leaves small layers in one band. An
-unpadded 1x1 conv copies nothing: in forward its slabs are views of its
-input and its GEMM writes the output's rows, and in backward its columns
-are views of the output gradient. A strided ``conv2d``'s space-to-depth
-copy is the size of its input.
+share a band while they fit, which leaves small layers in one band. A 1x1
+conv takes the same path as any other kernel: its slab and product rows
+in forward, and its columns in backward, are copies. A strided
+``conv2d``'s space-to-depth copy is the size of its input.
 
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
@@ -218,7 +217,7 @@ def _span(start: int, count: int, size: int) -> tuple[int, int]:
 
 
 def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
-            dilation, origin=(0, 0)) -> np.ndarray:
+            dilation, origin) -> np.ndarray:
     """Stride-1 columns (n, c*kh*kw, out_h*out_w) of a window of a, ready
     for ``_conv_vjp``'s GEMMs.
 
@@ -226,14 +225,11 @@ def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
     q + kj*dw + j] with (r, q) = ``origin``, and 0 wherever that falls
     outside a: the window may start before a (a negative origin pads it
     with zeros) and end before or after it, with no padded copy of a.
-    Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``. The columns of
-    a 1x1 kernel over whole rows of a are a view of a.
+    Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``.
     """
     n, c, h, w = a.shape
     dh, dw = dilation
     r0, q0 = origin
-    if (kh, kw, q0, out_w) == (1, 1, 0, w) and 0 <= r0 <= h - out_h:
-        return a[:, :, r0: r0 + out_h].reshape(n, c, out_h * w)
     cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=a.dtype)
     for ki in range(kh):
         r = r0 + ki * dh
@@ -243,15 +239,11 @@ def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
             j0, j1 = _span(q, out_w, w)
             col = cols[:, :, ki * kw + kj]
             # zero the margins the window reads outside a, then copy the rest
-            if i0 or i1 < out_h:
-                col[:, :, :i0] = 0
-                col[:, :, i1:] = 0
-            if j0 or j1 < out_w:
-                col[:, :, i0:i1, :j0] = 0
-                col[:, :, i0:i1, j1:] = 0
-            if i0 < i1 and j0 < j1:
-                col[:, :, i0:i1, j0:j1] = a[:, :, r + i0: r + i1,
-                                            q + j0: q + j1]
+            col[:, :, :i0] = 0
+            col[:, :, i1:] = 0
+            col[:, :, i0:i1, :j0] = 0
+            col[:, :, i0:i1, j1:] = 0
+            col[:, :, i0:i1, j0:j1] = a[:, :, r + i0: r + i1, q + j0: q + j1]
     return cols.reshape(n, c * kh * kw, out_h * out_w)
 
 
@@ -345,7 +337,6 @@ def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
     w2 = w.transpose(3, 0, 1, 2).reshape(kw * o, c * kh)
     dtype = np.result_type(w2, x)
     y = np.empty((n, o, out_h, out_w), dtype=dtype)
-    direct = kw == 1 and pw == 0  # one kernel column, no shift: rows of y
     # the bands share one buffer of slabs and product, so its pages fault in
     # once per call; with two buffers, freeing both made glibc hand the pages
     # back to the system after every call (about 1000 faults per call at
@@ -355,28 +346,20 @@ def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
                                  * dtype.itemsize):
         xb = x[images]
         nb, rows, r = len(xb), r1 - r0, r0 - ph
-        view = kh == 1 and 0 <= r <= h - rows
-        slab_size = 0 if view else nb * c * kh * rows * wd
-        band = _reused(store, "band", slab_size + (
-            0 if direct else nb * kw * o * rows * wd), dtype)
-        if view:
-            slabs = xb[:, :, r: r + rows].reshape(nb, c, rows * wd)
-        else:
-            # slab ki holds input rows r + ki*dh + i, zero outside the input
-            slabs = band[:slab_size].reshape(nb, c, kh, rows, wd)
-            for ki in range(kh):
-                s = r + ki * dh
-                i0, i1 = _span(s, rows, h)
-                slabs[:, :, ki, :i0] = 0
-                slabs[:, :, ki, i1:] = 0
-                slabs[:, :, ki, i0:i1] = xb[:, :, s + i0: s + i1]
-            slabs = slabs.reshape(nb, c * kh, rows * wd)
-        if direct:
-            np.matmul(w2, slabs,
-                      out=y.reshape(n, o, -1)[images, :, r0 * wd: r1 * wd])
-            continue
-        prod = np.matmul(w2, slabs, out=band[slab_size:].reshape(
-            nb, kw * o, rows * wd)).reshape(nb, kw, o, rows, wd)
+        slab_size = nb * c * kh * rows * wd
+        band = _reused(store, "band", slab_size + nb * kw * o * rows * wd,
+                       dtype)
+        # slab ki holds input rows r + ki*dh + i, zero outside the input
+        slabs = band[:slab_size].reshape(nb, c, kh, rows, wd)
+        for ki in range(kh):
+            s = r + ki * dh
+            i0, i1 = _span(s, rows, h)
+            slabs[:, :, ki, :i0] = 0
+            slabs[:, :, ki, i1:] = 0
+            slabs[:, :, ki, i0:i1] = xb[:, :, s + i0: s + i1]
+        prod = np.matmul(w2, slabs.reshape(nb, c * kh, rows * wd),
+                         out=band[slab_size:].reshape(nb, kw * o, rows * wd)
+                         ).reshape(nb, kw, o, rows, wd)
         yb = y[images, :, r0:r1]
         # output column j of kernel column kj reads input column j + q
         for kj in range(kw):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .data import (ImageBuffer, augment, from_tensor, load_image, make_dir,
                    to_tensor)
 from .errors import DataError, NumericError, UsageError
 from .metrics import SSIM_WINDOW, MetricReport, psnr, ssim
-from .model import ModelConfig, SADNet, denoise_tensor
+from .model import ModelConfig, SADNet, _field_types, denoise_tensor
 from .optim import AdamState, adam_step
 from .tensor import Tensor
 
@@ -62,11 +62,6 @@ class TrainConfig:
             if getattr(self, key) < 0:
                 raise UsageError(
                     f"{key} must be non-negative, got {getattr(self, key)}")
-
-
-def _field_types(cls) -> dict:
-    """Config keys: each field with a plain default, typed by that default."""
-    return {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
 
 
 _MODEL_KEYS = _field_types(ModelConfig)

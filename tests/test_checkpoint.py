@@ -1,8 +1,10 @@
 import io
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sadnet import tensor as T
 from sadnet.checkpoint import (_write_tensor, diff_configs, load_checkpoint,
@@ -288,6 +290,34 @@ class TestCorruptionProperty:
     def test_truncated(self, micro_blob, tmp_path_factory, data):
         cut = data.draw(st.integers(0, len(micro_blob) - 1), label="length")
         self._load_or_data_error(tmp_path_factory, micro_blob[:cut])
+
+    # small values only: a config may build as many blocks as it asks for
+    _SCALARS = st.one_of(st.integers(-1, 9), st.sampled_from([3.0, 1.5, 0.5]),
+                         st.booleans(), st.none(), st.just("3"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=st.sampled_from([f.name for f in fields(ModelConfig)]),
+           value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)))
+    @example(key="kernel_size", value=3.0)
+    @example(key="scales", value=0)
+    def test_model_config_value_replaced(self, micro_blob, tmp_path_factory,
+                                         key, value):
+        """One config value of another JSON type or size either is rejected
+        as a DataError or gives a model that runs."""
+        cfg_len = int.from_bytes(micro_blob[8:12], "little")
+        config = json.loads(micro_blob[12:12 + cfg_len])
+        config[key] = value
+        cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
+        path = tmp_path_factory.getbasetemp() / "retyped.sadn"
+        path.write_bytes(micro_blob[:8] + len(cfg_blob).to_bytes(4, "little")
+                         + cfg_blob + micro_blob[12 + cfg_len:])
+        try:
+            model = load_checkpoint(path).model
+        except DataError:
+            return
+        side = model.config.divisor
+        model(Tensor(np.zeros((1, model.config.in_channels, side, side),
+                              model.tail.weight.dtype)))
 
 
 class TestConfigMatching:

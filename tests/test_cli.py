@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sadnet import model as model_module
+from sadnet import data as data_module, model as model_module
+from sadnet import training as training_module
 from sadnet.checkpoint import save_checkpoint
 from sadnet.cli import main
 from sadnet.data import (ImageBuffer, ManifestEntry, load_image, read_manifest,
@@ -548,6 +549,50 @@ class TestOutOfMemory:
         code, out, err = run(capsys, "train", "--config", str(cfg))
         assert (code, out) == (1, "")
         assert f"{cfg}: config needs more memory than is available" in err
+
+
+class TestInputOutOfMemory:
+    """An input too large for memory names the command's input (exit 2).
+    The call that would allocate for it is made to fail, so nothing is
+    allocated."""
+
+    @staticmethod
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 1.5 GiB")
+
+    def check(self, capsys, source, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert (f"data error: {source}: input too large for the available "
+                f"memory") in err
+
+    def test_denoise(self, capsys, monkeypatch, tmp_path, micro_ckpt, corpus):
+        monkeypatch.setattr(training_module, "denoise_tensor", self.refuse)
+        image = str(corpus / "img0.pgm")
+        self.check(capsys, image, "denoise", "--ckpt", micro_ckpt,
+                   "--in", image, "--out", str(tmp_path / "o.pgm"))
+
+    def test_eval(self, capsys, monkeypatch, tmp_path, micro_ckpt, corpus):
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(tmp_path / "noisy"), "--sigma", "25")
+        monkeypatch.setattr(training_module, "denoise_tensor", self.refuse)
+        manifest = str(tmp_path / "noisy" / "manifest.tsv")
+        self.check(capsys, manifest, "eval", "--ckpt",
+                   micro_ckpt, "--manifest", manifest)
+
+    def test_export_offsets(self, capsys, monkeypatch, tmp_path, micro_ckpt,
+                            corpus):
+        monkeypatch.setattr(model_module, "denoise_tensor", self.refuse)
+        image = str(corpus / "img0.pgm")
+        self.check(capsys, image, "export-offsets", "--ckpt",
+                   micro_ckpt, "--in", image,
+                   "--out", str(tmp_path / "offsets.csv"))
+
+    def test_make_noisy(self, capsys, monkeypatch, tmp_path, corpus):
+        monkeypatch.setattr(data_module, "load_image", self.refuse)
+        self.check(capsys, corpus, "make-noisy", "--in-dir",
+                   str(corpus), "--out-dir", str(tmp_path / "noisy"),
+                   "--sigma", "25")
 
 
 @pytest.fixture(scope="module")

@@ -53,3 +53,43 @@ def _unused_imports(path: Path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every module-level private function, class and
+    constant (``_x``, not ``__x__``)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in targets
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree: ast.Module):
+    """Every name the module reads: loaded names and attributes (``T._node``),
+    and the names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_is_read():
+    """A private helper that no module of the package reads is dead code."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    defined = [(f"{module}:{line}", name) for module, tree in trees.items()
+               for name, line in _private_definitions(tree)]
+    assert len(defined) > 0
+    assert [f"{at} {name}" for at, name in defined if name not in read] == []

@@ -220,7 +220,11 @@ class TestSADNet:
                     dict(updown_kernel=3), dict(context_compression=0),
                     dict(context_dilations=(1, 0, 3, 4)),
                     dict(leaky_slope=-0.05), dict(leaky_slope=1.01),
-                    dict(leaky_slope=float("nan"))):
+                    dict(leaky_slope=float("nan")), dict(kernel_size=3.0),
+                    dict(in_channels=True), dict(leaky_slope=False),
+                    dict(context_dilations=[1, 2, 3, 4]),
+                    dict(context_dilations=()),
+                    dict(scales=0, channels_per_scale=())):
             with pytest.raises(ConfigurationError):
                 ModelConfig(**bad).validate()
 

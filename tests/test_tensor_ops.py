@@ -307,9 +307,9 @@ class TestBands:
 
     A budget below one row forces one row per band: output rows in forward,
     input rows in backward, whose output may be smaller ("shrinking") or
-    larger ("growing") than its input; a 1x1 kernel ("pointwise") reads its
-    rows in place, and a 2x2 up or down conv is a 1x1 conv of blocks. The
-    forward and every gradient match the single-band run to
+    larger ("growing") than its input; a 1x1 kernel ("pointwise") copies
+    its rows as any kernel does, and a 2x2 up or down conv is a 1x1 conv of
+    blocks. The forward and every gradient match the single-band run to
     1e-6 of their largest element: weight partials are summed in another
     order, and OpenBLAS may round a narrow GEMM block (17 columns here)
     otherwise than the same columns inside a wide one. Banded runs repeat
