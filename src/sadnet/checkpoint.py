@@ -194,6 +194,16 @@ def load_checkpoint(path) -> Checkpoint:
         if tensors[name].dtype != dtype:
             raise DataError(f"{path}: tensor {name} is {tensors[name].dtype}, "
                             f"the model is {np.dtype(dtype)}")
+    # each residual block and RSAB holds two convs' weights and biases; a
+    # config that asks for more blocks than the file holds would build them
+    # all before a record is compared
+    blocks = config.scales * (config.resblocks_per_scale
+                              + config.rsabs_per_scale)
+    records = sum(not name.startswith("adam.") for name in order)
+    if 4 * blocks > records:
+        raise DataError(f"{path}: bad model config: {blocks} blocks need "
+                        f"{4 * blocks} parameter records, the checkpoint "
+                        f"holds {records}")
     try:
         model = SADNet(config, dtype=dtype)
     except MemoryError as exc:

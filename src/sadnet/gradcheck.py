@@ -93,8 +93,9 @@ def run_ops_suite() -> list[CheckResult]:
     rng = np.random.default_rng(1234)
     results = []
 
-    # conv2d: plain, the 2x2 stride-2 down conv, and stride 1 with an
-    # output smaller (s1d2p1) and larger (s1d1p3) than its input
+    # conv2d: plain, the 2x2 stride-2 down conv, stride 1 with an output
+    # smaller (s1d2p1) and larger (s1d1p3) than its input, and plain with a
+    # skip input
     for tag, k, stride, dilation, padding in (
             ("s1d1p1", 3, 1, 1, 1), ("k2s2", 2, 2, 1, 0),
             ("s1d2p1", 3, 1, 2, 1), ("s1d1p3", 3, 1, 1, 3)):
@@ -108,6 +109,16 @@ def run_ops_suite() -> list[CheckResult]:
             lambda x=x, w=w, b=b, proj=proj, s=stride, d=dilation, p=padding:
                 _proj_loss(T.conv2d(x, w, b, (s, s), (d, d), (p, p)), proj),
             [x, w, b]))
+
+    x = _rand(rng, (2, 3, 6, 6))
+    w = _rand(rng, (4, 3, 3, 3))
+    b = _rand(rng, (1, 4, 1, 1))
+    skip = _rand(rng, (2, 4, 6, 6))
+    proj = rng.standard_normal((2, 4, 6, 6))
+    results.append(finite_diff_check(
+        "conv2d[s1d1p1+skip]",
+        lambda: _proj_loss(T.conv2d(x, w, b, padding=(1, 1), skip=skip), proj),
+        [x, w, b, skip]))
 
     x = _rand(rng, (2, 3, 4, 4))
     w = _rand(rng, (2, 3, 2, 2))

@@ -172,9 +172,9 @@ class Conv2d(_Conv):
         self.dilation = (dilation, dilation)
         self.padding = (padding, padding)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
         y = T.conv2d(x, self.weight, self.bias, self.stride, self.dilation,
-                     self.padding)
+                     self.padding, skip)
         self.macs = y.shape[2] * y.shape[3] * self.weight.data.size
         return y
 
@@ -206,7 +206,8 @@ class DeformConv2d(_Conv):
 
 
 class ResBlock:
-    """conv3x3 -> leaky ReLU -> conv3x3 with an identity skip."""
+    """conv3x3 -> leaky ReLU -> conv3x3 with an identity skip, which the
+    second conv adds into its own output (``conv2d``'s ``skip``)."""
 
     def __init__(self, rng, channels, k=3, slope=0.2, dtype=np.float32):
         p = k // 2
@@ -215,11 +216,12 @@ class ResBlock:
         self.slope = slope
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(x, self.conv2(T.leaky_relu(self.conv1(x), self.slope)))
+        return self.conv2(T.leaky_relu(self.conv1(x), self.slope), skip=x)
 
 
 class RSAB:
-    """Residual spatial-adaptive block: deformable conv replaces the first conv."""
+    """Residual spatial-adaptive block: deformable conv replaces the first
+    conv; the second conv adds the identity skip into its own output."""
 
     def __init__(self, rng, channels, k=3, slope=0.2, dtype=np.float32):
         self.dconv = DeformConv2d(rng, channels, channels, k, dtype=dtype)
@@ -228,7 +230,7 @@ class RSAB:
 
     def __call__(self, x, offsets, masks):
         h = self.dconv(x, offsets, masks)
-        return T.add(x, self.conv2(T.leaky_relu(h, self.slope)))
+        return self.conv2(T.leaky_relu(h, self.slope), skip=x)
 
 
 def upsample_offsets(offsets: Tensor, masks: Tensor) -> tuple[Tensor, Tensor]:
@@ -236,9 +238,11 @@ def upsample_offsets(offsets: Tensor, masks: Tensor) -> tuple[Tensor, Tensor]:
 
     Bilinear 2x spatial upsampling of both; offset values are additionally
     doubled (they are measured in pixels of the new, finer grid) while
-    modulation values are dimensionless and pass through unchanged.
+    modulation values are dimensionless and pass through unchanged. The
+    upsample doubles its own output, so no full-size undoubled field stays
+    in the graph.
     """
-    return T.scale(bilinear_upsample_x2(offsets), 2.0), bilinear_upsample_x2(masks)
+    return bilinear_upsample_x2(offsets, 2.0), bilinear_upsample_x2(masks)
 
 
 def _upsample_matrix(size: int, dtype) -> np.ndarray:
@@ -257,18 +261,24 @@ def _upsample_matrix(size: int, dtype) -> np.ndarray:
     return a
 
 
-def bilinear_upsample_x2(x: Tensor) -> Tensor:
-    """Differentiable bilinear 2x spatial upsampling (half-pixel centers).
+def bilinear_upsample_x2(x: Tensor, factor: float = 1.0) -> Tensor:
+    """Differentiable bilinear 2x spatial upsampling (half-pixel centers),
+    times ``factor``.
 
-    Separable: y = A_h @ x @ A_w.T with the per-axis interpolation matrices,
-    so the input gradient is A_h.T @ gy @ A_w.
+    Separable: y = (A_h @ x @ A_w.T) * factor with the per-axis
+    interpolation matrices, so the input gradient is A_h.T @ (gy * factor)
+    @ A_w.
     """
     _, _, h, w = x.shape
     a_h = _upsample_matrix(h, x.data.dtype)
     a_w = _upsample_matrix(w, x.data.dtype)
     y = a_h @ x.data @ a_w.T
+    if factor != 1:
+        y *= factor
 
     def backward(gy):
+        if factor != 1:
+            gy = gy * factor
         x.accumulate_grad(a_h.T @ gy @ a_w)
 
     return T._node(y, (x,), backward)
@@ -310,7 +320,8 @@ class ContextBlock:
 
     1x1 compression, one branch per dilation rate (padding = rate so shapes
     match), channel concat, 1x1 fusion back to the input width, identity
-    skip.
+    skip added by the fusion conv into its own output. The concat holds the
+    branch outputs' values; each branch output is a view of it.
     """
 
     def __init__(self, rng, channels, dilations=(1, 2, 3, 4), compression=4,
@@ -329,7 +340,7 @@ class ContextBlock:
     def __call__(self, x: Tensor) -> Tensor:
         f = T.leaky_relu(self.compress(x), self.slope)
         outs = [T.leaky_relu(b(f), self.slope) for b in self.branches]
-        return T.add(x, self.fuse(T.concat_channels(*outs)))
+        return self.fuse(T.concat_channels(*outs), skip=x)
 
 
 class SADNet:
@@ -409,7 +420,7 @@ class SADNet:
             prev = (offsets, masks)
             if s > 0:
                 d = self.up[s - 1](d)
-        return T.add(x, self.tail(d))
+        return self.tail(d, skip=x)
 
     __call__ = forward
 

@@ -12,6 +12,17 @@ that adds the inputs' gradients for an output gradient gy, and returns
 once, as the zero-argument ``Tensor._backward`` that the sweep calls (and
 that perfbench's tracer wraps and calls the same way).
 
+A graph holds each activation value once. ``concat_channels`` rebinds the
+``data`` of each graph input (a tensor with a ``_backward``) to a view of
+its channels in the output, so the input's own array goes; the values
+never change. Leaves and tensors without gradients keep their own arrays,
+since the optimizer updates parameters in place (shared storage for
+concatenation: Pleiss et al. 2017, arXiv:1707.06990). ``slice_channels``
+returns a view of its input. ``conv2d``'s ``skip`` adds a residual input
+into the conv's own output and receives a copy of the output gradient, as
+``add`` gives its second input: a residual join keeps no conv output that
+only an add would read.
+
 ``backward()`` consumes the graph: once a node's closure has run, the node
 drops its closure, its inputs and its gradient, so each op's saved state is
 freed during the sweep instead of waiting for the cyclic collector. Leaves
@@ -95,8 +106,10 @@ from .errors import ConfigurationError, UsageError
 class Tensor:
     """Dense 4-D array node in the autodiff graph.
 
-    ``data`` is immutable by convention after creation; only the optimizer
-    rebinds parameter contents (in place, between graph constructions).
+    ``data``'s values never change while a graph uses it: the optimizer
+    updates parameter contents in place between graph constructions, and
+    ``concat_channels`` may rebind a graph input's ``data`` to a view of
+    its output that holds the same values.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
@@ -133,7 +146,8 @@ class Tensor:
 
         A caller must hand over an array that nothing else writes to: a fresh
         result, or a view no other tensor's grad shares (``add`` gives its
-        second input a copy; ``concat_channels``' split views are disjoint).
+        second input a copy, and ``conv2d`` its ``skip``;
+        ``concat_channels``' split views are disjoint).
         """
         if not self.requires_grad:
             return
@@ -415,15 +429,18 @@ def _conv_vjp(gy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride=(1, 1), dilation=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D cross-correlation with zero padding.
+           stride=(1, 1), dilation=(1, 1), padding=(0, 0),
+           skip: Tensor | None = None) -> Tensor:
+    """2-D cross-correlation with zero padding, plus ``skip`` if given.
 
-    weight: (out_c, in_c, kh, kw); bias: (1, out_c, 1, 1) or None.
-    A stride other than 1 must equal the kernel, with padding 0 and
-    dilation 1 (non-overlapping blocks, the 2x2 down conv).
-    Differentiable w.r.t. x, weight and bias.
+    weight: (out_c, in_c, kh, kw); bias: (1, out_c, 1, 1) or None; skip:
+    None or a tensor of the output's shape, added after the bias, so a
+    residual join ``add(skip, conv2d(...))`` keeps no conv output that only
+    the add reads. A stride other than 1 must equal the kernel, with
+    padding 0 and dilation 1 (non-overlapping blocks, the 2x2 down conv).
+    Differentiable w.r.t. x, weight, bias and skip.
     """
-    _, c, h, w = x.shape
+    n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
     if c != ci:
         raise ConfigurationError(
@@ -444,6 +461,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d output would be empty: input {x.shape}, kernel {kh}x{kw}, "
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
+    if skip is not None and skip.shape != (n, o, out_h, out_w):
+        raise ConfigurationError(
+            f"conv2d skip shape {skip.shape} does not match its output "
+            f"{(n, o, out_h, out_w)}")
 
     def stride1():
         """The ``_conv`` operands: a strided conv is the 1x1 conv of x's
@@ -456,6 +477,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     y = _conv(*stride1())
     if bias is not None:
         y += bias.data
+    if skip is not None:
+        y += skip.data
 
     def backward(gy):
         if bias is not None and bias.requires_grad:
@@ -468,8 +491,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if strided:  # rows and columns outside every block get 0
                 gx = _depth_to_space(gx, np.zeros(x.shape, gx.dtype), kh, kw)
             x.accumulate_grad(gx)
+        if skip is not None and skip.requires_grad:
+            # a copy, as ``add`` gives its second input
+            skip.accumulate_grad(gy.copy())
 
-    return _node(y, (x, weight, bias), backward)
+    return _node(y, (x, weight, bias, skip), backward)
 
 
 def conv2d_transpose(x: Tensor, weight: Tensor,
@@ -578,6 +604,12 @@ def concat_channels(*xs: Tensor) -> Tensor:
                 f"concat_channels mismatch on (n, h, w): {base} vs {t.shape}")
     y = np.concatenate([t.data for t in xs], axis=1)
     splits = np.cumsum([t.shape[1] for t in xs])[:-1]
+    # a graph input's values now live in y: its own array goes. A leaf
+    # keeps its array, which the optimizer updates in place, and an input
+    # that y promotes keeps its dtype.
+    for t, part in zip(xs, np.split(y, splits, axis=1)):
+        if t._backward is not None and t.dtype == y.dtype:
+            t.data = part
 
     def backward(gy):
         for t, g in zip(xs, np.split(gy, splits, axis=1)):
@@ -587,10 +619,11 @@ def concat_channels(*xs: Tensor) -> Tensor:
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
+    """Channels [start, stop) of x, a view of x's array."""
     if not (0 <= start < stop <= x.shape[1]):
         raise ConfigurationError(
             f"slice_channels [{start}:{stop}] out of range for shape {x.shape}")
-    y = x.data[:, start:stop].copy()
+    y = x.data[:, start:stop]
 
     def backward(gy):
         g = np.zeros_like(x.data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sadnet import tensor as T
+from sadnet import checkpoint, tensor as T
 from sadnet.checkpoint import (_write_tensor, diff_configs, load_checkpoint,
                                require_config_match, save_checkpoint)
 from sadnet.data import make_rng
@@ -195,6 +195,26 @@ class TestCorruption:
         with pytest.raises(DataError, match=f"tensor {name} is float64, the "
                                             f"model is float32"):
             load_checkpoint(path)
+
+    def test_block_count_beyond_records_rejected_before_building(
+            self, micro_blob, tmp_path, monkeypatch):
+        # a billion blocks per scale would be built one by one until memory
+        # runs out; the records cannot hold them, so nothing may be built
+        def build(*args, **kwargs):
+            raise AssertionError("load_checkpoint built the model")
+        monkeypatch.setattr(checkpoint, "SADNet", build)
+        cfg_len = int.from_bytes(micro_blob[8:12], "little")
+        for key in ("resblocks_per_scale", "rsabs_per_scale"):
+            config = json.loads(micro_blob[12:12 + cfg_len])
+            config[key] = 1_000_000_000
+            cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
+            path = tmp_path / f"{key}.sadn"
+            path.write_bytes(micro_blob[:8]
+                             + len(cfg_blob).to_bytes(4, "little") + cfg_blob
+                             + micro_blob[12 + cfg_len:])
+            with pytest.raises(DataError, match="bad model config: "
+                                                "2000000002 blocks need"):
+                load_checkpoint(path)
 
 
 def _records_at(blob: bytes) -> int:

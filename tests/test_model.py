@@ -23,6 +23,22 @@ def micro_config(**kw):
     return ModelConfig(**defaults)
 
 
+def _assert_same_values_and_grads(builds, inputs, weights, proj):
+    """Each build of tensors of ``inputs`` gives the same output and the
+    same gradients of the inputs and ``weights``, bit for bit, for the loss
+    sum(output * proj)."""
+    runs = []
+    for build in builds:
+        ts = [Tensor(a, requires_grad=True) for a in inputs]
+        y = build(*ts)
+        T.tensor_sum(T.mul(y, Tensor(proj))).backward()
+        runs.append([y.data] + [t.grad for t in ts]
+                    + [w.grad for w in weights])
+        T.zero_grads(weights)
+    for first, other in zip(*runs):
+        np.testing.assert_array_equal(first, other)
+
+
 class TestResBlock:
     def test_zero_weights_identity(self, rng):
         block = ResBlock(np.random.default_rng(0), 4, dtype=np.float64)
@@ -38,12 +54,16 @@ class TestResBlock:
 
     def test_matches_primitive_composition(self, rng):
         block = ResBlock(np.random.default_rng(5), 3, dtype=np.float64)
-        x = Tensor(rng.standard_normal((2, 3, 5, 5)))
-        manual = T.add(x, T.conv2d(
-            T.leaky_relu(T.conv2d(x, block.conv1.weight, block.conv1.bias,
-                                  padding=(1, 1)), 0.2),
-            block.conv2.weight, block.conv2.bias, padding=(1, 1)))
-        np.testing.assert_allclose(block(x).data, manual.data, rtol=1e-6, atol=1e-12)
+        data = rng.standard_normal((2, 3, 5, 5))
+
+        def manual(x):
+            return T.add(x, T.conv2d(
+                T.leaky_relu(T.conv2d(x, block.conv1.weight, block.conv1.bias,
+                                      padding=(1, 1)), 0.2),
+                block.conv2.weight, block.conv2.bias, padding=(1, 1)))
+        _assert_same_values_and_grads(
+            (block, manual), [data], [block.conv1.weight, block.conv2.weight],
+            rng.standard_normal(data.shape))
 
 
 class TestRSAB:
@@ -72,16 +92,19 @@ class TestRSAB:
     def test_matches_primitive_composition(self, rng):
         from sadnet.deform import modulated_deform_conv2d
         rsab = RSAB(np.random.default_rng(2), 3, dtype=np.float64)
-        x = Tensor(rng.standard_normal((1, 3, 4, 4)))
-        offsets = Tensor(rng.uniform(-0.6, 0.6, (1, 18, 4, 4)))
-        masks = Tensor(rng.uniform(0.1, 0.9, (1, 9, 4, 4)))
-        manual = T.add(x, T.conv2d(
-            T.leaky_relu(modulated_deform_conv2d(
-                x, rsab.dconv.weight, rsab.dconv.bias, offsets, masks, (1, 1)),
-                0.2),
-            rsab.conv2.weight, rsab.conv2.bias, padding=(1, 1)))
-        np.testing.assert_allclose(rsab(x, offsets, masks).data, manual.data,
-                                   rtol=1e-6, atol=1e-12)
+        inputs = [rng.standard_normal((1, 3, 4, 4)),
+                  rng.uniform(-0.6, 0.6, (1, 18, 4, 4)),
+                  rng.uniform(0.1, 0.9, (1, 9, 4, 4))]
+
+        def manual(x, offsets, masks):
+            return T.add(x, T.conv2d(
+                T.leaky_relu(modulated_deform_conv2d(
+                    x, rsab.dconv.weight, rsab.dconv.bias, offsets, masks,
+                    (1, 1)), 0.2),
+                rsab.conv2.weight, rsab.conv2.bias, padding=(1, 1)))
+        _assert_same_values_and_grads(
+            (rsab, manual), inputs, [rsab.dconv.weight, rsab.conv2.weight],
+            rng.standard_normal(inputs[0].shape))
 
 
 class TestUpsampleOffsets:
@@ -101,6 +124,23 @@ class TestUpsampleOffsets:
         np.testing.assert_allclose(up.data, ref, rtol=1e-9, atol=1e-12)
         off_up, _ = upsample_offsets(Tensor(ramp), Tensor(np.ones((1, 2, 6, 6))))
         np.testing.assert_allclose(off_up.data, 2.0 * ref, rtol=1e-9, atol=1e-12)
+
+    def test_equals_doubling_after_upsampling_bit_for_bit(self, rng):
+        # subnormal output gradients: doubling them before the backward
+        # GEMMs rounds otherwise than doubling the GEMMs' result, so the
+        # order must be the one T.scale after the upsample gives
+        off, mask = (rng.standard_normal(s).astype(np.float32)
+                     for s in ((2, 18, 5, 6), (2, 9, 5, 6)))
+        proj = (rng.standard_normal((2, 27, 10, 12))
+                * np.where(rng.random((2, 27, 10, 12)) < 0.5, 1.0, 1e-40)
+                ).astype(np.float32)
+
+        def doubled_after(o, m):
+            return T.concat_channels(T.scale(bilinear_upsample_x2(o), 2.0),
+                                     bilinear_upsample_x2(m))
+        _assert_same_values_and_grads(
+            (lambda o, m: T.concat_channels(*upsample_offsets(o, m)),
+             doubled_after), [off, mask], [], proj)
 
 
 class TestOffsetTransfer:
@@ -227,6 +267,104 @@ class TestSADNet:
                     dict(scales=0, channels_per_scale=())):
             with pytest.raises(ConfigurationError):
                 ModelConfig(**bad).validate()
+
+
+def composed_forward(model, x):
+    """``model.forward`` in primitive ops: every residual join an ``add``
+    of a conv output, and the offset fields doubled by ``scale`` after the
+    upsample."""
+    cfg = model.config
+    f = model.head(x)
+    enc = []
+    for s in range(cfg.scales):
+        for b in model.enc[s]:
+            f = T.add(f, b.conv2(T.leaky_relu(b.conv1(f), b.slope)))
+        enc.append(f)
+        if s < cfg.scales - 1:
+            f = model.down[s](f)
+    ctx = model.context
+    g = T.leaky_relu(ctx.compress(enc[-1]), ctx.slope)
+    d = T.add(enc[-1], ctx.fuse(T.concat_channels(
+        *[T.leaky_relu(branch(g), ctx.slope) for branch in ctx.branches])))
+    prev = None
+    for s in range(cfg.scales - 1, -1, -1):
+        if s < cfg.scales - 1:
+            d = model.fuse[s](T.concat_channels(enc[s], d))
+        ot = model.offset[s]
+        h = T.leaky_relu(ot.conv1(d), ot.slope)
+        if prev is not None:
+            h = T.concat_channels(
+                h, T.scale(bilinear_upsample_x2(prev[0]), 2.0),
+                bilinear_upsample_x2(prev[1]))
+        raw = ot.head(h)
+        offsets = T.slice_channels(raw, 0, 2 * ot.k_taps)
+        masks = T.sigmoid(T.slice_channels(raw, 2 * ot.k_taps, 3 * ot.k_taps))
+        for b in model.rsabs[s]:
+            d = T.add(d, b.conv2(T.leaky_relu(b.dconv(d, offsets, masks),
+                                              b.slope)))
+        prev = (offsets, masks)
+        if s > 0:
+            d = model.up[s - 1](d)
+    return T.add(x, model.tail(d))
+
+
+SMOKE = ModelConfig(in_channels=1, channels_per_scale=(8, 16, 32, 64))
+
+
+class TestGraph:
+    """A training step's graph holds each activation value once."""
+
+    def test_smoke_forward_graph_bytes(self):
+        # each view counted once at its base; the parameters left out. With
+        # copying concats and slices, separate skip adds and a full-size
+        # undoubled offset field it held 27,700,228 bytes in 99 buffers.
+        model = SADNet(SMOKE, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.random((4, 1, 64, 64), dtype=np.float32))
+        loss = T.loss("L2", model(x),
+                      Tensor(rng.random(x.shape, dtype=np.float32)))
+        params = {id(p) for _, p in model.params()}
+        bases = {}
+        for node in T._graph(loss):
+            if id(node) not in params:
+                base = node.data
+                while base.base is not None:
+                    base = base.base
+                bases[id(base)] = base.nbytes
+        assert (sum(bases.values()), len(bases)) == (16_564_228, 59)
+
+    @pytest.mark.parametrize("config,shape", [(SMOKE, (4, 1, 64, 64)),
+                                              (ModelConfig(), (2, 3, 32, 32))],
+                             ids=["smoke", "stock"])
+    def test_steps_match_primitive_composition(self, config, shape):
+        # losses, gradients and weights over four Adam steps, then a forward
+        # without gradients, bit for bit
+        runs = []
+        for forward in (SADNet.forward, composed_forward):
+            model = SADNet(config, rng=np.random.default_rng(3))
+            rng = np.random.default_rng(11)
+            params = [p for _, p in model.params()]
+            for p in params:  # the offset heads, tail and biases too
+                if not p.data.any():
+                    p.data = rng.uniform(-0.05, 0.05, p.shape).astype(p.dtype)
+            adam = AdamState(lr=1e-3)
+            got = []
+            for _ in range(4):
+                x, target = (Tensor(rng.random(shape, dtype=np.float32))
+                             for _ in range(2))
+                loss = T.loss("L2", forward(model, x), target)
+                loss.backward()
+                got += [loss.data] + [p.grad for p in params]
+                adam_step(model.params(), adam)
+                T.zero_grads(params)
+            got += [p.data.copy() for p in params]
+            for p in params:
+                p.requires_grad = False
+            image = rng.random((1, shape[1], 40, 56), dtype=np.float32)
+            got.append(forward(model, Tensor(image)).data)
+            runs.append(got)
+        for fused, composed in zip(*runs):
+            np.testing.assert_array_equal(fused, composed)
 
 
 class TestParamNames:

@@ -143,6 +143,48 @@ class TestConv2d:
                                        err_msg=name)
 
 
+class TestConvSkip:
+    """``conv2d(..., skip=s)`` is ``add(s, conv2d(...))``, fused."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("form", ["stride1", "k2s2"])
+    def test_equals_add_bit_for_bit(self, rng, form, dtype):
+        k, conv_kw = ((3, dict(dilation=(2, 1), padding=(2, 1)))
+                      if form == "stride1" else (2, dict(stride=(2, 2))))
+        x, w, b = (rng.standard_normal(s).astype(dtype)
+                   for s in ((2, 3, 8, 6), (4, 3, k, k), (1, 4, 1, 1)))
+        oh, ow = (8, 6) if form == "stride1" else (4, 3)
+        s = rng.standard_normal((2, 4, oh, ow)).astype(dtype)
+        proj = Tensor(rng.standard_normal(s.shape).astype(dtype))
+        runs = []
+        for fused in (True, False):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b, s)]
+            if fused:
+                y = T.conv2d(*ts[:3], **conv_kw, skip=ts[3])
+            else:
+                y = T.add(ts[3], T.conv2d(*ts[:3], **conv_kw))
+            T.tensor_sum(T.mul(y, proj)).backward()
+            runs.append([y.data] + [t.grad for t in ts])
+        for fused, added in zip(*runs):
+            assert fused.dtype == dtype
+            np.testing.assert_array_equal(fused, added)
+
+    def test_skip_without_gradient(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        s = Tensor(rng.standard_normal((1, 2, 5, 5)))
+        T.tensor_sum(T.conv2d(x, w, padding=(1, 1), skip=s)).backward()
+        assert s.grad is None and x.grad is not None
+
+    def test_wrong_shape_rejected(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        for shape in ((1, 2, 5, 5), (1, 3, 3, 3), (2, 3, 5, 5)):
+            with pytest.raises(ConfigurationError, match="skip shape"):
+                T.conv2d(x, w, padding=(1, 1),
+                         skip=Tensor(rng.standard_normal(shape)))
+
+
 class TestConvTranspose:
     def test_disjoint_blocks(self):
         x = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
@@ -393,12 +435,12 @@ class TestBands:
                 yield band
 
         def conv(x, weight, bias=None, stride=(1, 1), dilation=(1, 1),
-                 padding=(0, 0)):
+                 padding=(0, 0), skip=None):
             name = (f"#{next(calls)} {x.shape[1]}->"
                     f"{weight.shape[0]} k{weight.shape[2]} s{stride[0]} "
                     f"d{dilation[0]} @{x.shape[2]}")
             phase[0] = (name, "forward")
-            out = real_conv(x, weight, bias, stride, dilation, padding)
+            out = real_conv(x, weight, bias, stride, dilation, padding, skip)
             phase[0] = None  # other ops' bands are not this conv's
             inner = out._backward
 
@@ -597,6 +639,36 @@ class TestPointwise:
         a = Tensor(rng.standard_normal((1, 32, 16, 16)))
         b = Tensor(rng.standard_normal((1, 64, 16, 16)))
         assert T.concat_channels(a, b).shape == (1, 96, 16, 16)
+
+    def test_concat_shares_graph_inputs_keeps_leaves(self, rng):
+        # a graph input's values move into the output, unchanged; a leaf
+        # (which Adam updates in place) and a no-grad tensor keep their own
+        # arrays
+        leaf = Tensor(rng.standard_normal((2, 2, 3, 4)), requires_grad=True)
+        node = T.leaky_relu(
+            Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True))
+        const = Tensor(rng.standard_normal((2, 1, 3, 4)))
+        arrays = [t.data for t in (leaf, node, const)]
+        values = [a.copy() for a in arrays]
+        y = T.concat_channels(leaf, node, const)
+        assert leaf.data is arrays[0] and const.data is arrays[2]
+        assert np.shares_memory(node.data, y.data)
+        assert not np.shares_memory(leaf.data, y.data)
+        for t, v in zip((leaf, node, const), values):
+            np.testing.assert_array_equal(t.data, v)
+        np.testing.assert_array_equal(y.data, np.concatenate(values, axis=1))
+        # a float32 input that a float64 output would promote keeps its dtype
+        narrow = T.leaky_relu(Tensor(values[1].astype(np.float32),
+                                     requires_grad=True))
+        T.concat_channels(narrow, node)
+        assert narrow.dtype == np.float32
+
+    def test_slice_shares_memory(self, rng):
+        x = T.leaky_relu(
+            Tensor(rng.standard_normal((2, 5, 3, 4)), requires_grad=True))
+        y = T.slice_channels(x, 1, 4)
+        assert np.shares_memory(y.data, x.data)
+        np.testing.assert_array_equal(y.data, x.data[:, 1:4])
 
     def test_concat_mismatch(self, rng):
         a = Tensor(rng.standard_normal((1, 2, 4, 4)))
