@@ -150,20 +150,23 @@ def from_tensor(t: Tensor) -> ImageBuffer:
 _SIGMA_MAX = 255 * float(np.finfo(np.float32).max) / 64
 
 
-def _check_sigma(sigma: float) -> None:
+def _check_sigma(sigma: float) -> float:
+    """sigma, checked; -0.0, which passes ``sigma < 0`` but which numpy's
+    ``normal()`` rejects as a negative scale, comes back as 0.0."""
     if not math.isfinite(sigma) or sigma < 0:
         raise UsageError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma > _SIGMA_MAX:
         raise UsageError(
             f"sigma must be at most {_SIGMA_MAX:.4g}, where its noise would "
             f"overflow float32; got {sigma}")
+    return abs(sigma)
 
 
 def add_awgn(image: Tensor, spec: NoiseSpec) -> Tensor:
     """Add i.i.d. Gaussian noise with std sigma/255; never clipped here."""
-    _check_sigma(spec.sigma)
+    sigma = _check_sigma(spec.sigma)
     rng = make_rng(spec.seed)
-    noise = rng.normal(0.0, spec.sigma / 255.0, size=image.shape)
+    noise = rng.normal(0.0, sigma / 255.0, size=image.shape)
     return Tensor(image.data + noise.astype(image.data.dtype))
 
 
@@ -244,7 +247,8 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise DataError(f"{path}:{lineno}: sigma must be at most "
                             f"{_SIGMA_MAX:.4g}, where its noise would "
                             f"overflow float32; got {parts[2]}")
-        entries.append(ManifestEntry(parts[0], parts[1], sigma, seed))
+        # abs: a sigma of -0 trains as 0 (``_check_sigma``)
+        entries.append(ManifestEntry(parts[0], parts[1], abs(sigma), seed))
     return entries
 
 
@@ -267,7 +271,7 @@ def generate_noisy_corpus(in_dir, out_dir, sigma: float, seed: int,
     """
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    _check_sigma(sigma)
+    sigma = _check_sigma(sigma)
     try:
         listing = os.listdir(in_dir)
     except OSError as exc:

@@ -12,12 +12,16 @@ corners touch, channels last, images stacked. Per tap, one ``np.take``
 fetches all 4 corners (4, nb, L, c) and one einsum blends them into the
 tap's slot of (nb, L, K, c) columns; one GEMM with the weight as
 (o, kh, kw, c) gives the output. Backward rebuilds the columns for the
-weight gradient; a batched GEMM gives the tap-major column gradient, whose
-channel contraction with the corners, p (4, nb, L), gives the mask and
-offset gradients through the closed-form bilinear derivatives. A second
-GEMM gives the channel-first column gradient for the input gradient: one
-``np.bincount`` per channel and corner over the band, into channel-major
-float64 bins, cast to the layer dtype at the end.
+weight gradient; in the same tap loop, one GEMM per tap gives that tap's
+channels-last column gradient (nb, L, c), whose channel contraction with
+the tap's corners, p (4, nb, L), gives the mask and offset gradients
+through the closed-form bilinear derivatives; no band-wide tap-major
+column gradient (K times as large) is built. A second GEMM gives the
+channel-first column gradient for the input gradient: one ``np.bincount``
+per channel and corner over the band, into channel-major float64 bins,
+cast to the layer dtype at the end. A ``slope`` fuses a leaky ReLU as in
+``tensor.conv2d``; backward scales the output gradient in its own dtype,
+in place, before that cast.
 
 Padding rule: samples outside the image read 0; points never move into it.
 Coordinates are clamped to [-2, h] x [-2, w] before ``floor()``, so every
@@ -38,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import (Tensor, _bands, _bias_grad, _node, _reused, _span,
-                     _weight_grad)
+from .tensor import (Tensor, _bands, _bias_grad, _leaky, _leaky_grad, _node,
+                     _reused, _span, _weight_grad)
 
 # Zero padding of the sampled input; the [-2, h] clamp keeps every corner in.
 _PAD = 2
@@ -92,8 +96,10 @@ def _corner_weights(fy: np.ndarray, fx: np.ndarray, m: np.ndarray):
 
 def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
                             offsets: Tensor, masks: Tensor,
-                            padding=(1, 1)) -> Tensor:
-    """Deformable convolution, stride 1 and dilation 1.
+                            padding=(1, 1),
+                            slope: float | None = None) -> Tensor:
+    """Deformable convolution, stride 1 and dilation 1, then a leaky ReLU
+    if ``slope`` is given (as in ``tensor.conv2d``).
 
     offsets: (n, 2*K, oh, ow) with channel pairs (dy, dx) per kernel tap,
     taps in row-major order. masks: (n, K, oh, ow), values in [0, 1].
@@ -121,8 +127,11 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     size = out_h * out_w
     item = dtype.itemsize
     # bytes per output row of one image: corner table, columns, window row,
-    # one tap's gather, index, weights and blend; backward adds the tap-major
-    # column gradient and p, or in the scatter the channel-first one and bins
+    # one tap's gather, index, weights and blend; backward adds K*c for the
+    # column gradients and p, or in the scatter the channel-first one and
+    # bins. The tap loop now builds one tap's column gradient at a time, not
+    # all K; the budget keeps its K*c, so the bands, and with them the
+    # band-by-band weight-gradient sums, stay as they were bit for bit.
     fwd_row = (out_w * (k_taps * (8 + 2 * item + c * item)
                         + 4 * (c * item + 8 + item) + c * item)
                + (w + 2 * _PAD) * c * item)
@@ -161,8 +170,14 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     y = y.reshape(n, o, out_h, out_w)
     if bias is not None:
         y += bias.data
+    if slope is not None:
+        _leaky(y, slope)
 
     def backward(grad):
+        if slope is not None:
+            # in the gradient's own dtype, before the cast, as a separate
+            # leaky_relu's backward would
+            _leaky_grad(grad, out.data, slope)
         # an upstream float64 gradient would make every product below a
         # mixed-dtype one that numpy runs by upcasting the columns
         grad = grad.astype(dtype, copy=False)
@@ -182,12 +197,12 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         for images, r0, r1 in _bands(n, out_h, bwd_row):
             band = slice(r0 * out_w, r1 * out_w)
             gyb = gy[images, :, band]
-            # tap-major, channels-last column gradient (K, nb, L, c)
-            g_cl = np.matmul(gyb.transpose(0, 2, 1)[None], w_taps[:, None])
 
             def each_tap(k, corners, fy, fx, m):
-                # per-corner channel sum of column gradient times sample
-                p = np.einsum("jnlc,nlc->jnl", corners, g_cl[k])
+                # tap k's channels-last column gradient (nb, L, c), then its
+                # per-corner channel sum with the samples
+                g_k = np.matmul(gyb.transpose(0, 2, 1), w_taps[k])
+                p = np.einsum("jnlc,nlc->jnl", corners, g_k)
                 d0, d1 = p[1] - p[0], p[3] - p[2]
                 q0, q1 = p[0] + fx * d0, p[2] + fx * d1
                 g_mask[images, k, band] = q0 + fy * (q1 - q0)
@@ -196,7 +211,6 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
             cols, (base, fy, fx, mod) = band_columns(images, r0, r1, {},
                                                      each_tap)
-            del g_cl
             gw += _weight_grad(gyb, cols.transpose(0, 2, 1))
             del cols
             # channel-first column gradient, viewed as (c, K, nb, L)
@@ -220,4 +234,5 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             :, :, _PAD:_PAD + h, _PAD:_PAD + w].transpose(1, 0, 2, 3)
             .astype(dtype, order="C"))
 
-    return _node(y, (x, weight, offsets, masks, bias), backward)
+    out = _node(y, (x, weight, offsets, masks, bias), backward)
+    return out

@@ -88,6 +88,11 @@ def _proj_loss(y: Tensor, proj: np.ndarray) -> Tensor:
     return T.tensor_sum(T.mul(y, Tensor(proj)))
 
 
+def _off_kink(pre: Tensor) -> None:
+    assert np.abs(pre.data).min() > 0.1, \
+        "gradcheck fixture drifted onto the leaky ReLU kink"
+
+
 def run_ops_suite() -> list[CheckResult]:
     """Every op's check on at most 6 elements of each input."""
     rng = np.random.default_rng(1234)
@@ -119,6 +124,21 @@ def run_ops_suite() -> list[CheckResult]:
         "conv2d[s1d1p1+skip]",
         lambda: _proj_loss(T.conv2d(x, w, b, padding=(1, 1), skip=skip), proj),
         [x, w, b, skip]))
+
+    # a fused leaky ReLU: small weights and biases of +-0.8 keep every
+    # pre-activation away from the kink at 0, on both sides of it (its own
+    # generator leaves the other checks' draws as they were)
+    krng = np.random.default_rng(4321)
+    x = _rand(krng, (2, 3, 6, 6))
+    w_s = Tensor(krng.standard_normal((4, 3, 3, 3)) * 0.02,
+                 requires_grad=True)
+    b_s = Tensor(np.array([0.8, -0.8, 0.8, -0.8]).reshape(1, 4, 1, 1),
+                 requires_grad=True)
+    _off_kink(T.conv2d(x, w_s, b_s, padding=(1, 1)))
+    results.append(finite_diff_check(
+        "conv2d[s1d1p1+slope]",
+        lambda: _proj_loss(T.conv2d(x, w_s, b_s, padding=(1, 1), slope=0.2),
+                           proj), [x, w_s, b_s]))
 
     x = _rand(rng, (2, 3, 4, 4))
     w = _rand(rng, (2, 3, 2, 2))
@@ -175,6 +195,13 @@ def run_ops_suite() -> list[CheckResult]:
         lambda: _proj_loss(
             modulated_deform_conv2d(x, w, b, offsets, masks, (1, 1)), proj),
         [x, w, b, offsets, masks]))
+
+    _off_kink(modulated_deform_conv2d(x, w_s, b_s, offsets, masks, (1, 1)))
+    results.append(finite_diff_check(
+        "deform[+slope]",
+        lambda: _proj_loss(modulated_deform_conv2d(
+            x, w_s, b_s, offsets, masks, (1, 1), 0.2), proj),
+        [x, w_s, b_s, offsets, masks]))
 
     off2 = Tensor(rng.uniform(0.3, 0.7, (1, 18, 4, 4)), requires_grad=True)
     m2 = Tensor(rng.uniform(0.2, 0.8, (1, 9, 4, 4)), requires_grad=True)

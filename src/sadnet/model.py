@@ -172,9 +172,10 @@ class Conv2d(_Conv):
         self.dilation = (dilation, dilation)
         self.padding = (padding, padding)
 
-    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, skip: Tensor | None = None,
+                 slope: float | None = None) -> Tensor:
         y = T.conv2d(x, self.weight, self.bias, self.stride, self.dilation,
-                     self.padding, skip)
+                     self.padding, skip, slope)
         self.macs = y.shape[2] * y.shape[3] * self.weight.data.size
         return y
 
@@ -196,9 +197,9 @@ class DeformConv2d(_Conv):
         super().__init__(rng, in_c, out_c, k, dtype=dtype)
         self.padding = (k // 2, k // 2)
 
-    def __call__(self, x, offsets, masks):
+    def __call__(self, x, offsets, masks, slope=None):
         y = modulated_deform_conv2d(x, self.weight, self.bias, offsets, masks,
-                                    self.padding)
+                                    self.padding, slope)
         _, c, kh, kw = self.weight.shape
         self.macs = y.shape[2] * y.shape[3] * (self.weight.data.size
                                                + kh * kw * (5 * c + 10))
@@ -216,7 +217,7 @@ class ResBlock:
         self.slope = slope
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.conv2(T.leaky_relu(self.conv1(x), self.slope), skip=x)
+        return self.conv2(self.conv1(x, slope=self.slope), skip=x)
 
 
 class RSAB:
@@ -229,8 +230,7 @@ class RSAB:
         self.slope = slope
 
     def __call__(self, x, offsets, masks):
-        h = self.dconv(x, offsets, masks)
-        return self.conv2(T.leaky_relu(h, self.slope), skip=x)
+        return self.conv2(self.dconv(x, offsets, masks, self.slope), skip=x)
 
 
 def upsample_offsets(offsets: Tensor, masks: Tensor) -> tuple[Tensor, Tensor]:
@@ -304,7 +304,7 @@ class OffsetTransfer:
                            zero_init=True, dtype=dtype)
 
     def __call__(self, x: Tensor, prev=None):
-        f = T.leaky_relu(self.conv1(x), self.slope)
+        f = self.conv1(x, slope=self.slope)
         if prev is not None:
             up_off, up_mask = upsample_offsets(*prev)
             f = T.concat_channels(f, up_off, up_mask)
@@ -338,8 +338,8 @@ class ContextBlock:
         self.fuse = Conv2d(rng, inner * len(dilations), channels, 1, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        f = T.leaky_relu(self.compress(x), self.slope)
-        outs = [T.leaky_relu(b(f), self.slope) for b in self.branches]
+        f = self.compress(x, slope=self.slope)
+        outs = [b(f, slope=self.slope) for b in self.branches]
         return self.fuse(T.concat_channels(*outs), skip=x)
 
 

@@ -21,7 +21,22 @@ concatenation: Pleiss et al. 2017, arXiv:1707.06990). ``slice_channels``
 returns a view of its input. ``conv2d``'s ``skip`` adds a residual input
 into the conv's own output and receives a copy of the output gradient, as
 ``add`` gives its second input: a residual join keeps no conv output that
-only an add would read.
+only an add would read. A conv's ``slope`` (``conv2d`` and the deformable
+conv) fuses the leaky ReLU after it: forward writes max(y, slope*y) into
+the conv's own fresh output after the bias and the skip (``_leaky``), so
+the graph holds the activation alone, not the conv output beside it
+(In-Place Activated BatchNorm keeps only an invertible activation's
+output in the same way: Rota Bulo et al. 2018, arXiv:1712.02616).
+Backward first scales the output gradient in place by slope wherever the
+activated output's sign bit is set (``_leaky_grad``); a tensor's backward
+owns its ``grad``, so the write needs no copy. It reads that sign through
+the output tensor, so after ``concat_channels`` rebinds the output the old
+array goes. That sign bit is set exactly where ``leaky_relu``'s
+backward scales (y < 0), for every pre-activation y but NaN and -0.0:
+-0.0 >= 0, so there ``leaky_relu`` gives gy and the fused op slope*gy. A
+sum is -0.0 only if both terms are (an exact cancellation rounds to
++0.0), so a conv with a bias yields -0.0 only where its bias is -0.0, and
+the model's convs, which all have one, match ``leaky_relu`` bit for bit.
 
 ``backward()`` consumes the graph: once a node's closure has run, the node
 drops its closure, its inputs and its gradient, so each op's saved state is
@@ -147,7 +162,8 @@ class Tensor:
         A caller must hand over an array that nothing else writes to: a fresh
         result, or a view no other tensor's grad shares (``add`` gives its
         second input a copy, and ``conv2d`` its ``skip``;
-        ``concat_channels``' split views are disjoint).
+        ``concat_channels``' split views are disjoint). So a tensor's own
+        backward may write its ``grad`` in place (a fused activation does).
         """
         if not self.requires_grad:
             return
@@ -430,15 +446,19 @@ def _conv_vjp(gy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation,
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), dilation=(1, 1), padding=(0, 0),
-           skip: Tensor | None = None) -> Tensor:
-    """2-D cross-correlation with zero padding, plus ``skip`` if given.
+           skip: Tensor | None = None, slope: float | None = None) -> Tensor:
+    """2-D cross-correlation with zero padding, plus ``skip`` if given,
+    then a leaky ReLU if ``slope`` is given.
 
     weight: (out_c, in_c, kh, kw); bias: (1, out_c, 1, 1) or None; skip:
     None or a tensor of the output's shape, added after the bias, so a
     residual join ``add(skip, conv2d(...))`` keeps no conv output that only
-    the add reads. A stride other than 1 must equal the kernel, with
-    padding 0 and dilation 1 (non-overlapping blocks, the 2x2 down conv).
-    Differentiable w.r.t. x, weight, bias and skip.
+    the add reads. slope: None, or the leaky ReLU slope in [0, 1] applied
+    last, so ``leaky_relu(conv2d(...), slope)`` keeps no conv output that
+    only the activation reads (``_leaky``). A stride other than 1 must
+    equal the kernel, with padding 0 and dilation 1 (non-overlapping
+    blocks, the 2x2 down conv). Differentiable w.r.t. x, weight, bias and
+    skip.
     """
     n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
@@ -479,8 +499,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         y += bias.data
     if skip is not None:
         y += skip.data
+    if slope is not None:
+        _leaky(y, slope)
 
     def backward(gy):
+        if slope is not None:
+            _leaky_grad(gy, out.data, slope)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_bias_grad(gy))
         gx, gw = _conv_vjp(gy, *stride1(), x.requires_grad,
@@ -495,7 +519,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # a copy, as ``add`` gives its second input
             skip.accumulate_grad(gy.copy())
 
-    return _node(y, (x, weight, bias, skip), backward)
+    out = _node(y, (x, weight, bias, skip), backward)
+    return out
 
 
 def conv2d_transpose(x: Tensor, weight: Tensor,
@@ -542,6 +567,23 @@ def conv2d_transpose(x: Tensor, weight: Tensor,
 # ---------------------------------------------------------------------------
 # Pointwise operations
 # ---------------------------------------------------------------------------
+
+
+def _leaky(y: np.ndarray, slope: float) -> None:
+    """max(y, slope*y) written into y, a fresh op output: the forward of a
+    leaky ReLU fused into the op that made y."""
+    np.maximum(y, y * slope, out=y)
+
+
+def _leaky_grad(gy: np.ndarray, y: np.ndarray, slope: float) -> None:
+    """Scale gy in place by slope where the activated output y has its sign
+    bit set: the backward of ``_leaky``, which needs no pre-activation."""
+    # in place, so the factors go at once; a fresh np.where result would
+    # keep a second gradient alive beside ``out.grad`` for the rest of the
+    # op's backward. The table lookup also runs faster than np.where or
+    # np.multiply(..., where=).
+    gy *= np.take(np.array([1, slope], gy.dtype),
+                  np.signbit(y).view(np.uint8))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:

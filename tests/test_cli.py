@@ -644,6 +644,7 @@ class TestCliValuesProperty:
     @_VALUE_SETTINGS
     @given(sigma=st.floats(), seed=_ANY_INT)
     @example(sigma=1e41, seed=0)  # its noise overflows float32
+    @example(sigma=-0.0, seed=0)  # passes sigma < 0; numpy rejects its sign
     def test_make_noisy_sigma_seed(self, capsys, tmp_path_factory,
                                    value_inputs, sigma, seed):
         out_dir = tmp_path_factory.mktemp("noisy") / "out"

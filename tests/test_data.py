@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,12 @@ class TestAWGN:
         y = add_awgn(x, NoiseSpec(0.0, 123))
         np.testing.assert_array_equal(y.data, x.data)
         assert y.data is not x.data
+
+    def test_negative_zero_sigma_is_sigma_zero(self, rng):
+        # -0.0 passes a sigma < 0 check, but numpy's normal() rejects it
+        x = Tensor(rng.random((1, 1, 8, 8)))
+        y = add_awgn(x, NoiseSpec(-0.0, 123))
+        np.testing.assert_array_equal(y.data, x.data)
 
     def test_negative_sigma_rejected(self, rng):
         with pytest.raises(UsageError, match="sigma"):
@@ -204,6 +212,12 @@ class TestManifest:
                            match=rf"bad\.tsv:2: sigma must be finite and "
                                  rf"non-negative, got {sigma}"):
             read_manifest(path)
+
+    def test_negative_zero_sigma_reads_as_zero(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("a\tb\t-0\t1\n")
+        (entry,) = read_manifest(path)
+        assert entry.sigma == 0 and math.copysign(1, entry.sigma) == 1
 
     def test_corpus_generation(self, rng, tmp_path):
         in_dir = tmp_path / "clean"

@@ -317,7 +317,8 @@ class TestGraph:
     def test_smoke_forward_graph_bytes(self):
         # each view counted once at its base; the parameters left out. With
         # copying concats and slices, separate skip adds and a full-size
-        # undoubled offset field it held 27,700,228 bytes in 99 buffers.
+        # undoubled offset field it held 27,700,228 bytes in 99 buffers;
+        # with a separate leaky ReLU after 17 convs, 16,564,228 in 59.
         model = SADNet(SMOKE, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         x = Tensor(rng.random((4, 1, 64, 64), dtype=np.float32))
@@ -331,7 +332,7 @@ class TestGraph:
                 while base.base is not None:
                     base = base.base
                 bases[id(base)] = base.nbytes
-        assert (sum(bases.values()), len(bases)) == (16_564_228, 59)
+        assert (sum(bases.values()), len(bases)) == (13_533_188, 42)
 
     @pytest.mark.parametrize("config,shape", [(SMOKE, (4, 1, 64, 64)),
                                               (ModelConfig(), (2, 3, 32, 32))],

@@ -185,6 +185,95 @@ class TestConvSkip:
                          skip=Tensor(rng.standard_normal(shape)))
 
 
+class TestFusedLeakyReLU:
+    """``conv2d(..., slope=s)`` and ``modulated_deform_conv2d(..., slope=s)``
+    are ``leaky_relu(op(...), s)``, fused: outputs and every gradient bit for
+    bit, except where the pre-activation is -0.0."""
+
+    @staticmethod
+    def _runs(op, arrays, slope, proj):
+        runs = []
+        for fused in (True, False):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            y = op(ts, slope) if fused else T.leaky_relu(op(ts, None), slope)
+            T.tensor_sum(T.mul(y, Tensor(proj))).backward()
+            runs.append([y.data] + [t.grad for t in ts])
+        return runs
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("skip", [False, True], ids=["plain", "skip"])
+    @pytest.mark.parametrize("form", ["stride1", "k2s2"])
+    def test_conv2d_equals_leaky_relu_bit_for_bit(self, rng, form, skip,
+                                                  dtype, slope):
+        k, conv_kw = ((3, dict(dilation=(2, 1), padding=(2, 1)))
+                      if form == "stride1" else (2, dict(stride=(2, 2))))
+        oh, ow = (8, 6) if form == "stride1" else (4, 3)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in
+                  ((2, 3, 8, 6), (4, 3, k, k), (1, 4, 1, 1), (2, 4, oh, ow))]
+        if not skip:
+            arrays.pop()
+
+        def op(ts, slope):
+            return T.conv2d(*ts[:3], **conv_kw,
+                            skip=ts[3] if skip else None, slope=slope)
+
+        proj = rng.standard_normal((2, 4, oh, ow)).astype(dtype)
+        for fused, composed in zip(*self._runs(op, arrays, slope, proj)):
+            assert fused.dtype == dtype
+            np.testing.assert_array_equal(fused, composed)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_deform_equals_leaky_relu_bit_for_bit(self, rng, dtype, slope):
+        _, arrays = _deform_case(rng)
+        arrays = [a.astype(dtype) for a in arrays]
+
+        def op(ts, slope):
+            return modulated_deform_conv2d(*ts, (1, 1), slope)
+
+        proj = rng.standard_normal((2, 5, 23, 17)).astype(dtype)
+        runs = self._runs(op, arrays, slope, proj)
+        # both branches taken (at slope 0 a negative one gives -0.0)
+        assert np.signbit(runs[0][0]).any() and (runs[0][0] > 0).any()
+        for fused, composed in zip(*runs):
+            assert fused.dtype == dtype
+            np.testing.assert_array_equal(fused, composed)
+
+    def test_negative_zero_pre_activation(self, rng, monkeypatch):
+        # the fused backward reads the output's sign bit: at a
+        # pre-activation of -0.0 it gives slope * gy, where leaky_relu (for
+        # which -0.0 >= 0) gives gy; everywhere else they agree, a negative
+        # value whose product with the slope underflows to -0.0 included
+        pre = np.array([-0.0, 0.0, -1e-45, 1e-45, -2.0, 3.0],
+                       np.float32).reshape(1, 6, 1, 1)
+        monkeypatch.setattr(T, "_conv", lambda *args: pre.copy())
+        x = Tensor(np.ones((1, 1, 1, 1), np.float32), requires_grad=True)
+        w = Tensor(np.ones((6, 1, 1, 1), np.float32), requires_grad=True)
+        gy = Tensor(rng.uniform(1, 2, pre.shape).astype(np.float32))
+        grads = []
+        for fused in (True, False):
+            y = (T.conv2d(x, w, slope=0.2) if fused
+                 else T.leaky_relu(T.conv2d(x, w), 0.2))
+            T.tensor_sum(T.mul(y, gy)).backward()
+            want = T.leaky_relu(Tensor(pre), 0.2).data
+            assert y.data.tobytes() == want.tobytes()
+            grads.append(w.grad.ravel())
+            w.grad = x.grad = None
+        fused, composed = grads
+        assert fused[0] == np.float32(0.2) * gy.data.flat[0]
+        assert composed[0] == gy.data.flat[0]
+        np.testing.assert_array_equal(fused[1:], composed[1:])
+
+    def test_model_leaves_no_leaky_relu(self, monkeypatch):
+        # every activation of the stock forward is fused into its conv
+        monkeypatch.setattr(T, "leaky_relu", None)
+        model = SADNet(ModelConfig(), rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).random((1, 3, 8, 8),
+                                                   dtype=np.float32))
+        T.tensor_sum(model(x)).backward()
+
+
 class TestConvTranspose:
     def test_disjoint_blocks(self):
         x = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
@@ -435,12 +524,13 @@ class TestBands:
                 yield band
 
         def conv(x, weight, bias=None, stride=(1, 1), dilation=(1, 1),
-                 padding=(0, 0), skip=None):
+                 padding=(0, 0), skip=None, slope=None):
             name = (f"#{next(calls)} {x.shape[1]}->"
                     f"{weight.shape[0]} k{weight.shape[2]} s{stride[0]} "
                     f"d{dilation[0]} @{x.shape[2]}")
             phase[0] = (name, "forward")
-            out = real_conv(x, weight, bias, stride, dilation, padding, skip)
+            out = real_conv(x, weight, bias, stride, dilation, padding, skip,
+                            slope)
             phase[0] = None  # other ops' bands are not this conv's
             inner = out._backward
 
@@ -565,6 +655,36 @@ class TestBoundedTransients:
         ufunc_buffers = 3 * np.getbufsize() * x.itemsize
         assert peak <= (y.nbytes + slabs_and_product + ufunc_buffers
                         + (1 << 16))
+
+    @pytest.mark.parametrize("slope", [None, 0.2])
+    def test_deform_backward_at_train_stock_scale0(self, rng, slope):
+        # train-stock's finest deformable conv, the step's peak: besides the
+        # output gradient, its backward holds the float64 input-gradient
+        # bins, the offset and mask gradients and one band, plus 4 MiB of
+        # per-tap temporaries (corner weights, derivative arithmetic). A
+        # band-wide tap-major column gradient (5.75 MB) would not fit, nor
+        # would a second output gradient from the fused activation.
+        n, c, size = 2, 32, 128
+        tensors = [Tensor(a, requires_grad=True) for a in (
+            rng.standard_normal((n, c, size, size), dtype=np.float32),
+            rng.standard_normal((c, c, 3, 3), dtype=np.float32),
+            rng.standard_normal((1, c, 1, 1), dtype=np.float32),
+            rng.uniform(-2, 2, (n, 18, size, size)).astype(np.float32),
+            rng.uniform(0, 1, (n, 9, size, size)).astype(np.float32))]
+        loss = T.tensor_sum(modulated_deform_conv2d(*tensors, (1, 1), slope))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        x, _, _, offsets, masks = tensors
+        bins = c * n * (size + 2 * deform._PAD) ** 2 * 8
+        out_grad = x.data.nbytes
+        fields = offsets.data.nbytes + masks.data.nbytes
+        assert peak <= out_grad + bins + fields + T._BAND_BYTES + (4 << 20)
 
     def test_modulated_deform_conv2d(self, rng):
         arrays = (rng.standard_normal((1, 32, 320, 480), dtype=np.float32),

@@ -354,6 +354,24 @@ class TestTrainingSet:
             train(cfg)
         assert not (tmp_path / "ckpt").exists()
 
+    def test_negative_zero_manifest_sigma_trains_as_zero(self, tmp_path):
+        # -0 passes a sigma < 0 check, but numpy's normal() rejects a scale
+        # whose sign bit is set
+        weights = []
+        for sigma in ("-0", "0"):
+            cfg = tiny_train_config(tmp_path / sigma,
+                                    np.random.default_rng(5), max_iters=2,
+                                    checkpoint_interval=0)
+            manifest = tmp_path / sigma / "train.tsv"
+            manifest.write_text("".join(
+                "\t".join(line.split("\t")[:2] + [sigma]
+                          + line.split("\t")[3:])
+                for line in manifest.read_text().splitlines(True)))
+            _, ck = train(cfg, log_stream=io.StringIO())
+            weights.append([p.data for _, p in ck.model.params()])
+        for a, b in zip(*weights):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestStepMemory:
     def test_memory_per_step_is_bounded(self, rng, tmp_path):
