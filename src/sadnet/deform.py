@@ -17,11 +17,16 @@ channels-last column gradient (nb, L, c), whose channel contraction with
 the tap's corners, p (4, nb, L), gives the mask and offset gradients
 through the closed-form bilinear derivatives; no band-wide tap-major
 column gradient (K times as large) is built. A second GEMM gives the
-channel-first column gradient for the input gradient: one ``np.bincount``
-per channel and corner over the band, into channel-major float64 bins,
-cast to the layer dtype at the end. A ``slope`` fuses a leaky ReLU as in
-``tensor.conv2d``; backward scales the output gradient in its own dtype,
-in place, before that cast.
+channel-first column gradient for the input gradient, which the band
+scatters into the window its forward gathers from: one ``np.bincount``
+per channel and corner over the band, into channel-major float64 bins
+(c, window pixels). Corner 0's bins are the indices its gather takes
+(base + shift), and corner j's lie 0, 1, wp or wp + 1 further. The
+window's interior is then added once, with the cast, into the input
+gradient of the layer dtype, and the band's buffers go before the next
+band builds its own: no float64 bins span the image. A ``slope`` fuses a
+leaky ReLU as in ``tensor.conv2d``; backward scales the output gradient
+in its own dtype, in place, before its cast.
 
 Padding rule: samples outside the image read 0; points never move into it.
 Coordinates are clamped to [-2, h] x [-2, w] before ``floor()``, so every
@@ -33,8 +38,12 @@ anchoring); gradient checks must perturb offsets away from integers.
 
 Determinism: bands, taps, channels and corners run in a fixed order and each
 bincount adds in float64 in a fixed order: identical inputs give identical
-bits. The GEMM sums in (tap, channel) order, not conv2d's (channel, tap), so
-zero offsets and unit masks match ``conv2d`` to rounding, not bit for bit.
+bits. Each band's window rounds to the layer dtype as it is added, so where
+two bands' windows overlap (offsets reach across a band boundary) the input
+gradient rounds once per band, and another band split may differ in the
+last bits. The GEMM sums in (tap, channel) order, not conv2d's (channel,
+tap), so zero offsets and unit masks match ``conv2d`` to rounding, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ _PAD = 2
 
 def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):
     """Corner table (base, fy, fx), each (K, nb, L), of output rows r0, ...;
-    the window; and shift (4, nb, 1), from a padded-input base index to its
-    corners (y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1) in it."""
+    the window, (pixels, c), and the input row at its row 0; and shift
+    (4, nb, 1), from a padded-input base index to its corners (y0, x0),
+    (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1) in the window."""
     nb, c, h, w = x.shape
     _, k2, rows, ow = off.shape
     wp = w + 2 * _PAD
@@ -83,7 +93,7 @@ def _band_samples(x: np.ndarray, off: np.ndarray, r0: int, kw: int, padding):
         0, 2, 3, 1)
     shift = (np.array([0, 1, wp, wp + 1])[:, None, None]
              + ((np.arange(nb) * (hi - lo) - lo) * wp)[:, None])
-    return base, fy, fx, win.reshape(-1, c), shift
+    return base, fy, fx, win.reshape(-1, c), top, shift
 
 
 def _corner_weights(fy: np.ndarray, fx: np.ndarray, m: np.ndarray):
@@ -126,24 +136,29 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     dtype = x.data.dtype
     size = out_h * out_w
     item = dtype.itemsize
+    wp = w + 2 * _PAD
     # bytes per output row of one image: corner table, columns, window row,
-    # one tap's gather, index, weights and blend; backward adds K*c for the
-    # column gradients and p, or in the scatter the channel-first one and
-    # bins. The tap loop now builds one tap's column gradient at a time, not
-    # all K; the budget keeps its K*c, so the bands, and with them the
-    # band-by-band weight-gradient sums, stay as they were bit for bit.
+    # one tap's gather, index, weights and blend. Backward's tap loop adds
+    # one tap's column gradient and p; its scatter holds instead the table,
+    # the channel-first column gradient, the bins (the table flattened, a
+    # copy for a band of several images), the product and its float64 copy
+    # inside bincount, the corner weights, and a window row of float64
+    # input-gradient bins with one bincount result
     fwd_row = (out_w * (k_taps * (8 + 2 * item + c * item)
                         + 4 * (c * item + 8 + item) + c * item)
-               + (w + 2 * _PAD) * c * item)
-    bwd_row = max(fwd_row + out_w * (k_taps * c * item + 10 * item),
-                  out_w * k_taps * (8 + 2 * item + c * item + 16 + 5 * item))
+               + wp * c * item)
+    bwd_row = max(fwd_row + out_w * (c * item + 10 * item),
+                  out_w * k_taps * (8 + 2 * item + c * item + 16 + 5 * item)
+                  + wp * (c + 1) * 8)
 
     def band_columns(images, r0, r1, store, each_tap=None):
-        """(nb, L, K*c) columns, table and (nb, K, L) masks of a band;
+        """(nb, L, K*c) columns of a band; its table with (nb, K, L) masks;
+        and where its window lies: shift (4, nb, 1), the input row at
+        window row 0 and the window's length in pixels.
         ``each_tap(k, corners, fy, fx, m)`` runs after each tap's blend."""
         mod = masks.data[images].reshape(-1, k_taps, size)[
             :, :, r0 * out_w: r1 * out_w].astype(dtype, copy=False)
-        base, fy, fx, win, shift = _band_samples(
+        base, fy, fx, win, top, shift = _band_samples(
             x.data[images], offsets.data[images, :, r0:r1], r0, kw, padding)
         nb, _, length = mod.shape
         cols = _reused(store, "cols", (nb, length, k_taps, c), dtype)
@@ -157,14 +172,15 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             cols[:, :, k] = blend
             if each_tap is not None:
                 each_tap(k, corners, fy[k], fx[k], mod[:, k])
-        return cols.reshape(nb, length, k_taps * c), (base, fy, fx, mod)
+        return (cols.reshape(nb, length, k_taps * c), (base, fy, fx, mod),
+                (shift, top, len(win)))
 
     # the weight as (o, K*c), matching the columns' channels-last order
     w_cl = weight.data.transpose(0, 2, 3, 1).reshape(o, -1)
     y = np.empty((n, o, size), dtype=np.result_type(w_cl, dtype))
     store = {}  # the bands share buffers, so their pages fault in once
     for images, r0, r1 in _bands(n, out_h, fwd_row):
-        cols, _ = band_columns(images, r0, r1, store)
+        cols, _, _ = band_columns(images, r0, r1, store)
         np.matmul(w_cl, cols.transpose(0, 2, 1),
                   out=y[images, :, r0 * out_w: r1 * out_w])
     y = y.reshape(n, o, out_h, out_w)
@@ -190,10 +206,7 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         g_off = np.empty((n, 2 * k_taps, size), dtype=offsets.dtype)
         g_mask = np.empty((n, k_taps, size), dtype=masks.dtype)
         gw = np.zeros((o, k_taps * c), dtype=dtype)
-        hp, wp = h + 2 * _PAD, w + 2 * _PAD
-        corner = np.array([0, 1, wp, wp + 1])
-        # float64 bins, channel-major: a band's images are one run
-        gx = np.zeros((c, n * hp * wp))
+        gx = np.zeros((n, c, h, w), dtype=dtype)
         for images, r0, r1 in _bands(n, out_h, bwd_row):
             band = slice(r0 * out_w, r1 * out_w)
             gyb = gy[images, :, band]
@@ -209,30 +222,37 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
                 g_off[images, 2 * k, band] = m * (q1 - q0)
                 g_off[images, 2 * k + 1, band] = m * (d0 + fy * (d1 - d0))
 
-            cols, (base, fy, fx, mod) = band_columns(images, r0, r1, {},
-                                                     each_tap)
+            cols, (base, fy, fx, mod), (shift, top, length) = band_columns(
+                images, r0, r1, {}, each_tap)
             gw += _weight_grad(gyb, cols.transpose(0, 2, 1))
             del cols
+            wts = _corner_weights(fy, fx, mod.transpose(1, 0, 2))
             # channel-first column gradient, viewed as (c, K, nb, L)
             g_cf = (weight.data.reshape(o, -1).T @ gyb).reshape(
                 -1, c, k_taps, gyb.shape[2]).transpose(1, 2, 0, 3)
-            base += (np.arange(n)[images] * hp * wp)[:, None]
-            lo = int(base.min())  # bins start at the lowest corner
-            bins = (base - lo).ravel()
-            wts = _corner_weights(fy, fx, mod.transpose(1, 0, 2))
+            # corner 0's bins in the window, the indices its gather took
+            base += shift[0]
+            bins = base.ravel()
             prod = np.empty(base.shape, dtype=dtype)
+            win = np.zeros((c, length))  # float64 bins, channel-major
             for ch in range(c):
-                for wt, at in zip(wts, lo + corner):
+                for wt, at in zip(wts, (0, 1, wp, wp + 1)):
                     np.multiply(wt, g_cf[ch], out=prod)
                     part = np.bincount(bins, weights=prod.ravel())
-                    gx[ch, at: at + len(part)] += part
+                    win[ch, at: at + len(part)] += part
+            # the window's interior, cast once into the input gradient
+            nb = gyb.shape[0]
+            win = win.reshape(c, nb, -1, wp)
+            i0, i1 = _span(top, win.shape[2], h)
+            gx[images, :, top + i0: top + i1] += win[
+                :, :, i0:i1, _PAD:_PAD + w].transpose(1, 0, 2, 3)
+            # release this band's buffers before the next band builds its own
+            del g_cf, wts, wt, prod, bins, part, win, base, fy, fx, mod
         weight.accumulate_grad(np.ascontiguousarray(
             gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)))
         masks.accumulate_grad(g_mask.reshape(masks.shape))
         offsets.accumulate_grad(g_off.reshape(offsets.shape))
-        x.accumulate_grad(gx.reshape(c, n, hp, wp)[
-            :, :, _PAD:_PAD + h, _PAD:_PAD + w].transpose(1, 0, 2, 3)
-            .astype(dtype, order="C"))
+        x.accumulate_grad(gx)
 
     out = _node(y, (x, weight, offsets, masks, bias), backward)
     return out

@@ -77,7 +77,7 @@ step holds only the graph's own tensors.
 ``_conv``, ``_conv_vjp`` and the deformable conv work in bands of rows
 (``_bands``): row slabs, GEMM and shifted adds in forward, and the columns,
 weight gradient and input gradient in backward, run one band at a time,
-and what a band builds fits in ``_BAND_BYTES`` (16 MiB; at least one row of
+and what a band builds fits in ``_BAND_BYTES`` (8 MiB; at least one row of
 one image). ``_conv``'s bands split output rows and count c*kh slab rows
 and kw*o product rows per input pixel, in buffers that the bands of one
 call share (``_reused``); ``_conv_vjp``'s bands split input rows, and its
@@ -303,15 +303,16 @@ def _depth_to_space(blocks: np.ndarray, out: np.ndarray, kh: int,
 # Most bytes one band may build. Convolutions build their row slabs or
 # columns, run their GEMMs and write their column gradients band by band,
 # so what one op allocates stays near this size whatever the image size.
-# 16 MiB keeps every deformable conv of a batch-4, patch-64 training step in
-# one band (the largest, the backward of a 4x8x64x64 one, counts 16.4 MB of
-# columns, gradients and tables), so small arrays pay no per-band overhead.
-# Every stride-1 conv2d of that step takes one band too, forward and
-# backward: the largest, the 35->27 scale-0 offset head, builds 12.2 MB of
-# row slabs and GEMM product in forward (im2col columns would be 20.6 MB)
-# and 15.9 MB of output-gradient columns in backward. A 320x480 stock
-# denoise peaks at less than half of what whole-image columns take.
-_BAND_BYTES = 16 << 20
+# At 8 MiB a batch-4, patch-64 training step (the acceptance smoke config)
+# splits only its two scale-0 layers, by whole images: the deformable conv
+# (11.0 MB of columns and tables in forward, 3 + 1 images; 13.6 MB counted
+# in backward, 2 + 2) and the 35->27 offset head (12.2 MB of row slabs and
+# GEMM product in forward, 15.9 MB of output-gradient columns in backward;
+# 2 + 2 images each). Every other op of that step takes one band. A stock
+# batch-2, patch-128 step times level with 16 MiB and about 5% slower at
+# 4 MiB (``BENCH_band_budget.json``). A 320x480 stock denoise peaks at less
+# than half of what whole-image columns take.
+_BAND_BYTES = 8 << 20
 
 
 def _bands(n: int, rows: int, row_bytes: int):
@@ -581,9 +582,18 @@ def _leaky_grad(gy: np.ndarray, y: np.ndarray, slope: float) -> None:
     # in place, so the factors go at once; a fresh np.where result would
     # keep a second gradient alive beside ``out.grad`` for the rest of the
     # op's backward. The table lookup also runs faster than np.where or
-    # np.multiply(..., where=).
-    gy *= np.take(np.array([1, slope], gy.dtype),
-                  np.signbit(y).view(np.uint8))
+    # np.multiply(..., where=). It takes 1 + 8 + itemsize bytes per element
+    # (mask, its intp copy inside np.take, factors), so it runs on
+    # (image, channel block) views of about 1 << 17 elements (1.6 MiB of
+    # temporaries in float32); an indexed view of a ``concat_channels``
+    # split view is still a view, so the write stays in place
+    table = np.array([1, slope], gy.dtype)
+    n, c, h, w = gy.shape
+    step = max(1, (1 << 17) // (h * w))
+    for i in range(n):
+        for c0 in range(0, c, step):
+            g = gy[i, c0:c0 + step]
+            g *= np.take(table, np.signbit(y[i, c0:c0 + step]).view(np.uint8))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:

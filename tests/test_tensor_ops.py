@@ -265,6 +265,22 @@ class TestFusedLeakyReLU:
         assert composed[0] == gy.data.flat[0]
         np.testing.assert_array_equal(fused[1:], composed[1:])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_grad_scales_split_views_in_place(self, rng, dtype):
+        # a concat_channels split of the gradient and of the output is a
+        # non-contiguous view; it is scaled where it lies, block by block
+        # (8 channels of 128x128), bit for bit as one whole-view multiply,
+        # and the channels beside it are left alone
+        whole = rng.standard_normal((2, 40, 128, 128)).astype(dtype)
+        y = rng.standard_normal((2, 36, 128, 128)).astype(dtype)[:, 3:33]
+        y[0, 0, 0, :3] = [-0.0, 0.0, np.nan]
+        gy = whole[:, 5:35]
+        assert not (gy.flags.c_contiguous or y.flags.c_contiguous)
+        want = whole.copy()
+        want[:, 5:35] *= np.where(np.signbit(y), dtype(0.2), dtype(1))
+        T._leaky_grad(gy, y, 0.2)
+        np.testing.assert_array_equal(whole, want)
+
     def test_model_leaves_no_leaky_relu(self, monkeypatch):
         # every activation of the stock forward is fused into its conv
         monkeypatch.setattr(T, "leaky_relu", None)
@@ -492,10 +508,11 @@ class TestBands:
         self._check(monkeypatch, rng, dtype, *_deform_case(rng, 23.0))
 
     @pytest.mark.parametrize("c,size", [(8, 64), (16, 32), (32, 16), (64, 8)])
-    def test_smoke_deform_layers_take_one_band(self, monkeypatch, rng, c,
-                                               size):
-        # the acceptance smoke config's deformable convs (batch 4) pay no
-        # per-band overhead in forward or backward
+    def test_smoke_deform_layer_bands(self, monkeypatch, rng, c, size):
+        # the acceptance smoke config's deformable convs (batch 4): only the
+        # scale-0 one splits, by whole images (11.0 MB of forward columns
+        # and tables, 13.6 MB counted in backward); the others take one
+        # band in forward and backward
         arrays = (rng.standard_normal((4, c, size, size)),
                   rng.standard_normal((c, c, 3, 3)),
                   np.zeros((1, c, 1, 1)),
@@ -505,13 +522,18 @@ class TestBands:
         _, _, bands = _run_banded(
             monkeypatch, T._BAND_BYTES,
             lambda *t: modulated_deform_conv2d(*t, (1, 1)), arrays, gy)
-        assert bands == [(slice(0, 4), 0, size)] * 2
+        if size == 64:
+            assert bands == [(slice(0, 3), 0, 64), (slice(3, 4), 0, 64),
+                             (slice(0, 2), 0, 64), (slice(2, 4), 0, 64)]
+        else:
+            assert bands == [(slice(0, 4), 0, size)] * 2
 
     @staticmethod
-    def _check_smoke_step_one_band(monkeypatch, rng, when):
+    def _check_smoke_step_bands(monkeypatch, rng, when):
         """One forward and backward of the acceptance smoke config (batch
-        4, patch 64) under the real budget: every stride-1 conv2d pays no
-        per-band overhead in phase ``when``."""
+        4, patch 64) under the real budget: in phase ``when`` every
+        stride-1 conv2d but the scale-0 offset head takes one band, and
+        that head two bands of two whole images."""
         bands = {}  # (call, phase) -> bands
         phase = [None]
         calls = itertools.count()
@@ -547,51 +569,54 @@ class TestBands:
                        rng=np.random.default_rng(0))
         x = Tensor(rng.random((4, 1, 64, 64), dtype=np.float32))
         T.loss("L1", model(x), Tensor(x.data.copy())).backward()
-        stride1 = [(name, len(b)) for (name, phase), b in bands.items()
-                   if phase == when and " s1 " in name]
+        stride1 = {name: b for (name, phase), b in bands.items()
+                   if phase == when and " s1 " in name}
         assert len(stride1) == 31
-        assert [c for c in stride1 if c[1] > 1] == []
+        head = "#31 35->27 k3 s1 d1 @64"
+        assert stride1.pop(head) == [(slice(0, 2), 0, 64),
+                                     (slice(2, 4), 0, 64)]
+        assert [name for name, b in stride1.items() if len(b) > 1] == []
 
-    def test_smoke_step_stride1_forward_takes_one_band(self, monkeypatch,
-                                                       rng):
-        # the largest forward, the 35->27 scale-0 offset head, builds
-        # 12.2 MB of row slabs and GEMM product (im2col columns: 20.6 MB)
-        self._check_smoke_step_one_band(monkeypatch, rng, "forward")
+    def test_smoke_step_stride1_forward_bands(self, monkeypatch, rng):
+        # the 35->27 scale-0 offset head's row slabs and GEMM product come
+        # to 12.2 MB for the batch (im2col columns: 20.6 MB)
+        self._check_smoke_step_bands(monkeypatch, rng, "forward")
 
-    def test_smoke_step_stride1_backward_takes_one_band(self, monkeypatch,
-                                                        rng):
-        # the largest, the same head, builds 15.9 MB of output-gradient
-        # columns
-        self._check_smoke_step_one_band(monkeypatch, rng, "backward")
+    def test_smoke_step_stride1_backward_bands(self, monkeypatch, rng):
+        # the same head's output-gradient columns come to 15.9 MB
+        self._check_smoke_step_bands(monkeypatch, rng, "backward")
+
+
+def _traced_peak(fn):
+    """fn's result, and the most traced bytes above the level before it
+    while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestBoundedTransients:
     """What one large op allocates stays near the band budget.
 
     Inputs are made before tracing. Forward may add its output and a few
-    bands; forward plus backward may add the output and its gradient (two
-    output sizes), and the input gradients up to three times over (the
-    deformable conv sums in float64, twice the size, then casts). At
-    320x480 one unbanded column buffer alone is 354 MB (conv) or 177 MB
-    (deformable).
+    bands; backward may add the output's gradient and the input gradients
+    up to three times over, and a few bands. At 320x480 one unbanded column
+    buffer alone is 354 MB (conv) or 177 MB (deformable).
     """
 
     @staticmethod
     def _check(tensors, op):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            y = op(*tensors)
-            forward = tracemalloc.get_traced_memory()[1] - base
-            T.tensor_sum(y).backward()
-            total = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        y, forward = _traced_peak(lambda: op(*tensors))
+        _, backward = _traced_peak(T.tensor_sum(y).backward)
         out = y.data.nbytes
         grads = sum(t.data.nbytes for t in tensors)
         assert forward <= out + 2 * T._BAND_BYTES
-        assert total <= 2 * out + 3 * grads + 8 * T._BAND_BYTES
+        assert backward <= out + 3 * grads + 8 * T._BAND_BYTES
 
     def test_conv2d(self, rng):
         arrays = (rng.standard_normal((1, 64, 320, 480), dtype=np.float32),
@@ -607,31 +632,19 @@ class TestBoundedTransients:
                    requires_grad=True)
         w = Tensor(rng.standard_normal((64, 64, 3, 3), dtype=np.float32),
                    requires_grad=True)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            T.tensor_sum(T.conv2d(x, w, padding=(1, 1))).backward()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(
+            lambda: T.tensor_sum(T.conv2d(x, w, padding=(1, 1))).backward())
         assert peak < 4 * x.data.nbytes
 
     def test_conv_vjp_holds_one_band(self, rng):
         # train-stock's finest 3x3 conv: its backward's columns split into
-        # 113 + 15 rows per image, and a band's columns must be freed before
-        # the next band's are built
+        # 56 + 56 + 16 rows per image, and a band's columns must be freed
+        # before the next band's are built
         x = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
         w = rng.standard_normal((32, 32, 3, 3), dtype=np.float32)
         gy = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            gx, gw = T._conv_vjp(gy, x, w, (1, 1), (1, 1), True, True)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (gx, gw), peak = _traced_peak(
+            lambda: T._conv_vjp(gy, x, w, (1, 1), (1, 1), True, True))
         assert peak <= gx.nbytes + gw.nbytes + T._BAND_BYTES + (1 << 19)
 
     def test_conv_forward_holds_row_slabs(self, rng):
@@ -641,14 +654,7 @@ class TestBoundedTransients:
         w = rng.standard_normal((16, 16, 3, 3), dtype=np.float32)
         n, c, h, wd = x.shape
         o, _, kh, kw = w.shape
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            y = T._conv(x, w, (1, 1), (1, 1))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        y, peak = _traced_peak(lambda: T._conv(x, w, (1, 1), (1, 1)))
         slabs_and_product = (c * kh + kw * o) * n * h * wd * x.itemsize
         # a ufunc over strided operands (the shifted adds) buffers each of
         # its 3 operands, up to np.getbufsize() elements
@@ -656,35 +662,51 @@ class TestBoundedTransients:
         assert peak <= (y.nbytes + slabs_and_product + ufunc_buffers
                         + (1 << 16))
 
+    @staticmethod
+    def _deform_tensors(rng, n, c, h, w, reach):
+        return [Tensor(a, requires_grad=True) for a in (
+            rng.standard_normal((n, c, h, w), dtype=np.float32),
+            rng.standard_normal((c, c, 3, 3), dtype=np.float32),
+            rng.standard_normal((1, c, 1, 1), dtype=np.float32),
+            rng.uniform(-reach, reach, (n, 18, h, w)).astype(np.float32),
+            rng.uniform(0, 1, (n, 9, h, w)).astype(np.float32))]
+
     @pytest.mark.parametrize("slope", [None, 0.2])
     def test_deform_backward_at_train_stock_scale0(self, rng, slope):
         # train-stock's finest deformable conv, the step's peak: besides the
-        # output gradient, its backward holds the float64 input-gradient
-        # bins, the offset and mask gradients and one band, plus 4 MiB of
-        # per-tap temporaries (corner weights, derivative arithmetic). A
-        # band-wide tap-major column gradient (5.75 MB) would not fit, nor
-        # would a second output gradient from the fused activation.
-        n, c, size = 2, 32, 128
-        tensors = [Tensor(a, requires_grad=True) for a in (
-            rng.standard_normal((n, c, size, size), dtype=np.float32),
-            rng.standard_normal((c, c, 3, 3), dtype=np.float32),
-            rng.standard_normal((1, c, 1, 1), dtype=np.float32),
-            rng.uniform(-2, 2, (n, 18, size, size)).astype(np.float32),
-            rng.uniform(0, 1, (n, 9, size, size)).astype(np.float32))]
+        # output gradient, its backward holds the float32 input gradient,
+        # the offset and mask gradients and one band. Image-wide float64
+        # input-gradient bins (8.9 MB) would not fit, nor would a
+        # band-wide tap-major column gradient (4.1 MB at 28 rows) or a
+        # second output gradient from the fused activation.
+        tensors = self._deform_tensors(rng, 2, 32, 128, 128, 2)
         loss = T.tensor_sum(modulated_deform_conv2d(*tensors, (1, 1), slope))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(loss.backward)
         x, _, _, offsets, masks = tensors
-        bins = c * n * (size + 2 * deform._PAD) ** 2 * 8
         out_grad = x.data.nbytes
         fields = offsets.data.nbytes + masks.data.nbytes
-        assert peak <= out_grad + bins + fields + T._BAND_BYTES + (4 << 20)
+        assert peak <= (out_grad + x.data.nbytes + fields + T._BAND_BYTES
+                        + (1 << 20))
+
+    def test_deform_backward_holds_one_band(self, rng):
+        # 10 bands of up to 28 rows, whose windows overlap by the offsets'
+        # reach: each band's column gradient, tables and window bins must
+        # be freed before the next band builds its own
+        tensors = self._deform_tensors(rng, 1, 32, 256, 128, 3)
+        y = modulated_deform_conv2d(*tensors, (1, 1))
+        y.grad = rng.standard_normal(y.shape, dtype=np.float32)
+        _, peak = _traced_peak(y._backward)
+        grads = sum(t.grad.nbytes for t in tensors)
+        assert peak <= grads + T._BAND_BYTES + (1 << 19)
+
+    def test_leaky_grad_in_blocks(self, rng):
+        # the scale lookup's mask, intp index and factors (13 bytes per
+        # element) run on blocks of about 1 << 17 elements, not on the
+        # whole 4 MiB gradient
+        y = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
+        gy = rng.standard_normal(y.shape, dtype=np.float32)
+        _, peak = _traced_peak(lambda: T._leaky_grad(gy, y, 0.2))
+        assert peak <= 13 * (1 << 17) + (1 << 16)
 
     def test_modulated_deform_conv2d(self, rng):
         arrays = (rng.standard_normal((1, 32, 320, 480), dtype=np.float32),
