@@ -240,15 +240,11 @@ def read_manifest(path) -> list[ManifestEntry]:
             sigma, seed = float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(sigma) or sigma < 0:
-            raise DataError(f"{path}:{lineno}: sigma must be finite "
-                            f"and non-negative, got {parts[2]}")
-        if sigma > _SIGMA_MAX:
-            raise DataError(f"{path}:{lineno}: sigma must be at most "
-                            f"{_SIGMA_MAX:.4g}, where its noise would "
-                            f"overflow float32; got {parts[2]}")
-        # abs: a sigma of -0 trains as 0 (``_check_sigma``)
-        entries.append(ManifestEntry(parts[0], parts[1], abs(sigma), seed))
+        try:
+            sigma = _check_sigma(sigma)
+        except UsageError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        entries.append(ManifestEntry(parts[0], parts[1], sigma, seed))
     return entries
 
 

@@ -45,48 +45,44 @@ freed during the sweep instead of waiting for the cyclic collector. Leaves
 graph is unsupported; build the graph again instead.
 
 Every dense convolution runs on one core: ``_conv`` and its adjoint
-``_conv_vjp``. ``_conv`` copies its input once per kernel row, as
-whole-width row slabs (n, c*kh, oh*w) that read zeros above and below the
-input, and runs one GEMM of the weight as a (kw*out_c, in_c*kh) matrix
-with them. The output is the sum of the product's kw row blocks, block kj
-shifted by kj*dw - pw columns, with zeros where it leaves the input (MEC,
-Cho & Brand 2017, arXiv:1706.06873; kn2row, Anderson et al. 2017,
-arXiv:1709.03395): 1/kw of the bytes of im2col columns, copied in whole
-rows. ``_conv_vjp`` runs on (n, c*kh*kw, oh*ow) stride-1 columns that
-``_im2col`` builds, reading zeros wherever the window leaves the input (so
-zero padding needs no padded copy). A strided ``conv2d`` must have stride
-== kernel, padding 0 and dilation 1, else it raises
-``ConfigurationError``; a ``conv2d_transpose``'s stride is its kernel, so
-it takes no stride. Their
-blocks do not overlap, so each is a 1x1 conv of blocks (Shi et al. 2016,
-arXiv:1609.05158): of its input's, the permuted copy ``_space_to_depth``,
-in ``conv2d``; into its output's, by the adjoint
-``_depth_to_space`` that sums nothing, in ``conv2d_transpose``. A
-convolution keeps no columns from forward to backward (Chen et al. 2016,
-arXiv:1604.06174). ``_conv_vjp`` builds one set of columns from the output
-gradient instead: the input gradient of a stride-1 convolution is the
-stride-1 convolution of the output gradient, zero-extended by d*(k-1) - p
-per side (cropped where that is negative), with the kernel flipped and its
-channel axes swapped (Dumoulin & Visin 2016, arXiv:1603.07285). One GEMM
-writes the input gradient's rows; the same columns against the input give
-the weight gradient with flipped taps, and a strided ``conv2d`` rebuilds
-its input's blocks for them. Both rely on the ``Tensor`` convention that
-``data`` is never mutated in place while a graph uses it, so a training
-step holds only the graph's own tensors.
+``_conv_vjp``, in one layout. ``_conv`` copies its input once per kernel
+row, as whole-width row slabs (n, c*kh, oh*w) that read zeros above and
+below the input, and runs one GEMM of the weight as a (kw*out_c, in_c*kh)
+matrix with them. The output is the sum of the product's kw row blocks,
+block kj shifted by kj*dw - pw columns, with zeros where it leaves the
+input (MEC, Cho & Brand 2017, arXiv:1706.06873; kn2row, Anderson et al.
+2017, arXiv:1709.03395): 1/kw of the bytes of im2col columns, copied in
+whole rows. ``_conv_vjp`` runs the same steps transposed, in reverse: kw
+column-shifted copies of the output gradient take the product's place
+(the adjoint of the shifted adds); against the slabs they give the
+weight gradient in the same (kw*out_c, in_c*kh) layout, and the weight's
+transpose times them gives the slabs' gradient, whose kh row blocks add
+into the input gradient (the adjoint of the slab copies). A strided
+``conv2d`` must have stride == kernel, padding 0 and dilation 1, else it
+raises ``ConfigurationError``; a ``conv2d_transpose``'s stride is its
+kernel, so it takes no stride. Their blocks do not overlap, so each is a
+1x1 conv of blocks (Shi et al. 2016, arXiv:1609.05158): of its input's,
+the permuted copy ``_space_to_depth``, in ``conv2d``; into its output's,
+by the adjoint ``_depth_to_space`` that sums nothing, in
+``conv2d_transpose``. A convolution keeps no slabs from forward to
+backward (Chen et al. 2016, arXiv:1604.06174): ``_conv_vjp`` copies its
+input's rows again, and a strided ``conv2d`` rebuilds its input's blocks.
+Both rely on the ``Tensor`` convention that ``data`` is never mutated in
+place while a graph uses it, so a training step holds only the graph's
+own tensors.
 
 ``_conv``, ``_conv_vjp`` and the deformable conv work in bands of rows
-(``_bands``): row slabs, GEMM and shifted adds in forward, and the columns,
-weight gradient and input gradient in backward, run one band at a time,
-and what a band builds fits in ``_BAND_BYTES`` (8 MiB; at least one row of
-one image). ``_conv``'s bands split output rows and count c*kh slab rows
-and kw*o product rows per input pixel, in buffers that the bands of one
-call share (``_reused``); ``_conv_vjp``'s bands split input rows, and its
-columns count o*kh*kw per input pixel. So what one op allocates beyond its
-inputs, output and gradients does not grow with the image. Whole images
-share a band while they fit, which leaves small layers in one band. A 1x1
-conv takes the same path as any other kernel: its slab and product rows
-in forward, and its columns in backward, are copies. A strided
-``conv2d``'s space-to-depth copy is the size of its input.
+(``_bands``): row slabs, GEMMs and shifted copies or adds run one band at
+a time, and what a band builds fits in ``_BAND_BYTES`` (8 MiB; at least
+one row of one image). ``_conv`` and ``_conv_vjp`` band alike
+(``_slab_bands``): their bands split output rows and count c*kh slab rows
+and kw*o product or shifted-gradient rows per output pixel, in one buffer
+that the bands of one call share (``_reused``). So what one op allocates
+beyond its inputs, output and gradients does not grow with the image.
+Whole images share a band while they fit, in groups as even as the
+budget allows, which leaves small layers in one band. A 1x1 conv takes
+the same path as any other kernel: its slab and product rows are copies.
+A strided ``conv2d``'s space-to-depth copy is the size of its input.
 
 Every backward closure keeps the gradient in its layer's dtype: a float32
 graph never turns a gradient float64, which would make each GEMM below it
@@ -95,13 +91,14 @@ upcast its operands.
 Determinism: all forward and backward computations are plain sequential
 numpy expressions; the reduction order is fixed (in forward, the GEMM over
 (channel, kernel row), then the shifted adds in kernel-column order; in
-backward, the GEMM over the columns, kernel positions in row-major order;
-bands from the first image and row to the last), so two runs on identical
-inputs produce bit-identical results.
-Weight-gradient partials are summed band by band in that order, so a
-gradient may differ in the last bits from an unbanded sum. Every
-``conv2d`` backward writes each input-gradient row once. Splitting the
-GEMM's columns into bands leaves each output element's dot product alone,
+backward, the GEMMs over (kernel column, output channel) and over the
+band's pixels, then the slabs' gradients in kernel-row order; bands from
+the first image and row to the last), so two runs on identical inputs
+produce bit-identical results.
+Weight-gradient partials, and the input-gradient rows that two bands'
+slabs share, are summed band by band in that order, so a gradient may
+differ in the last bits from an unbanded sum. Splitting the GEMM's
+columns into bands leaves each output element's dot product alone,
 but OpenBLAS may round a narrow column block otherwise than the same
 columns inside a wide one; forwards of the stock model at 160x240 and
 320x480 matched the unbanded ones bit for bit. The deformable conv's
@@ -246,41 +243,10 @@ def _span(start: int, count: int, size: int) -> tuple[int, int]:
     return i0, max(i0, min(count, size - start))
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, out_h: int, out_w: int,
-            dilation, origin) -> np.ndarray:
-    """Stride-1 columns (n, c*kh*kw, out_h*out_w) of a window of a, ready
-    for ``_conv_vjp``'s GEMMs.
-
-    Output pixel (i, j) of tap (ki, kj) reads a[:, :, r + ki*dh + i,
-    q + kj*dw + j] with (r, q) = ``origin``, and 0 wherever that falls
-    outside a: the window may start before a (a negative origin pads it
-    with zeros) and end before or after it, with no padded copy of a.
-    Row c*kh*kw + tap pairs with ``weight.reshape(o, -1)``.
-    """
-    n, c, h, w = a.shape
-    dh, dw = dilation
-    r0, q0 = origin
-    cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=a.dtype)
-    for ki in range(kh):
-        r = r0 + ki * dh
-        i0, i1 = _span(r, out_h, h)
-        for kj in range(kw):
-            q = q0 + kj * dw
-            j0, j1 = _span(q, out_w, w)
-            col = cols[:, :, ki * kw + kj]
-            # zero the margins the window reads outside a, then copy the rest
-            col[:, :, :i0] = 0
-            col[:, :, i1:] = 0
-            col[:, :, i0:i1, :j0] = 0
-            col[:, :, i0:i1, j1:] = 0
-            col[:, :, i0:i1, j0:j1] = a[:, :, r + i0: r + i1, q + j0: q + j1]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
-
-
 def _space_to_depth(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """a's whole kh x kw blocks as (n, c*kh*kw, h//kh, w//kw), channel
-    c*kh*kw + tap as in ``_im2col``: a conv whose stride is its kernel is
-    the 1x1 conv of these."""
+    c*kh*kw + tap with taps in row-major order: a conv whose stride is its
+    kernel is the 1x1 conv of these."""
     n, c, h, w = a.shape
     oh, ow = h // kh, w // kw
     blocks = a[:, :, :oh * kh, :ow * kw].reshape(n, c, oh, kh, ow, kw)
@@ -304,11 +270,11 @@ def _depth_to_space(blocks: np.ndarray, out: np.ndarray, kh: int,
 # columns, run their GEMMs and write their column gradients band by band,
 # so what one op allocates stays near this size whatever the image size.
 # At 8 MiB a batch-4, patch-64 training step (the acceptance smoke config)
-# splits only its two scale-0 layers, by whole images: the deformable conv
-# (11.0 MB of columns and tables in forward, 3 + 1 images; 13.6 MB counted
-# in backward, 2 + 2) and the 35->27 offset head (12.2 MB of row slabs and
-# GEMM product in forward, 15.9 MB of output-gradient columns in backward;
-# 2 + 2 images each). Every other op of that step takes one band. A stock
+# splits only its two scale-0 layers, by whole images into 2 + 2: the
+# deformable conv (11.0 MB of columns and tables in forward, 13.6 MB
+# counted in backward) and the 35->27 offset head (12.2 MB of row slabs
+# and GEMM product or shifted output gradient, in forward and backward
+# alike). Every other op of that step takes one band. A stock
 # batch-2, patch-128 step times level with 16 MiB and about 5% slower at
 # 4 MiB (``BENCH_band_budget.json``). A 320x480 stock denoise peaks at less
 # than half of what whole-image columns take.
@@ -320,14 +286,15 @@ def _bands(n: int, rows: int, row_bytes: int):
     order.
 
     ``row_bytes`` is what one row of one image costs. Whole images are
-    grouped while they fit in ``_BAND_BYTES``; a larger image is cut into
-    bands of rows, image by image (at least one row per band).
+    grouped while they fit in ``_BAND_BYTES``, in the fewest groups, whose
+    sizes differ by at most one image; a larger image is cut into bands of
+    rows, image by image (at least one row per band).
     """
     per_band = max(1, _BAND_BYTES // row_bytes)
     if per_band >= rows:
-        step = per_band // rows
-        for i in range(0, n, step):
-            yield slice(i, min(n, i + step)), 0, rows
+        groups = -(-n // (per_band // rows))
+        for b in range(groups):
+            yield slice(n * b // groups, n * (b + 1) // groups), 0, rows
     else:
         for i in range(n):
             for r0 in range(0, rows, per_band):
@@ -354,6 +321,39 @@ def _reused(store: dict, key: str, shape, dtype) -> np.ndarray:
     return store[key][:size].reshape(shape)
 
 
+def _slab_bands(x: np.ndarray, kh: int, dh: int, ph: int, out_h: int,
+                block_rows: int, dtype):
+    """Yield (images, r0, r1, slabs, block) per band of output rows [r0, r1)
+    of a stride-1 conv of x with kh kernel rows.
+
+    slabs (nb, c, kh, rows, w): slab ki holds input rows r0 - ph + ki*dh + i,
+    zero outside x. block (nb, block_rows, rows*w) is for the caller to
+    fill. Both are views of one buffer that the bands share.
+    """
+    n, c, h, wd = x.shape
+    # the bands share one buffer of slabs and block, so its pages fault in
+    # once per call; with two buffers, freeing both made glibc hand the pages
+    # back to the system after every call (about 1000 faults per call at
+    # 2x32x128x128)
+    store = {}
+    for images, r0, r1 in _bands(n, out_h, (c * kh + block_rows) * wd
+                                 * dtype.itemsize):
+        xb = x[images]
+        nb, rows, r = len(xb), r1 - r0, r0 - ph
+        slab_size = nb * c * kh * rows * wd
+        band = _reused(store, "band", slab_size + nb * block_rows * rows * wd,
+                       dtype)
+        slabs = band[:slab_size].reshape(nb, c, kh, rows, wd)
+        for ki in range(kh):
+            s = r + ki * dh
+            i0, i1 = _span(s, rows, h)
+            slabs[:, :, ki, :i0] = 0
+            slabs[:, :, ki, i1:] = 0
+            slabs[:, :, ki, i0:i1] = xb[:, :, s + i0: s + i1]
+        yield (images, r0, r1, slabs,
+               band[slab_size:].reshape(nb, block_rows, rows * wd))
+
+
 def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
     """Stride-1 cross-correlation of arrays, (n, c, h, w) by (o, c, kh, kw),
     per band of output rows: kh row-shifted copies of the input, one GEMM
@@ -368,29 +368,11 @@ def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
     w2 = w.transpose(3, 0, 1, 2).reshape(kw * o, c * kh)
     dtype = np.result_type(w2, x)
     y = np.empty((n, o, out_h, out_w), dtype=dtype)
-    # the bands share one buffer of slabs and product, so its pages fault in
-    # once per call; with two buffers, freeing both made glibc hand the pages
-    # back to the system after every call (about 1000 faults per call at
-    # 2x32x128x128)
-    store = {}
-    for images, r0, r1 in _bands(n, out_h, (c * kh + kw * o) * wd
-                                 * dtype.itemsize):
-        xb = x[images]
-        nb, rows, r = len(xb), r1 - r0, r0 - ph
-        slab_size = nb * c * kh * rows * wd
-        band = _reused(store, "band", slab_size + nb * kw * o * rows * wd,
-                       dtype)
-        # slab ki holds input rows r + ki*dh + i, zero outside the input
-        slabs = band[:slab_size].reshape(nb, c, kh, rows, wd)
-        for ki in range(kh):
-            s = r + ki * dh
-            i0, i1 = _span(s, rows, h)
-            slabs[:, :, ki, :i0] = 0
-            slabs[:, :, ki, i1:] = 0
-            slabs[:, :, ki, i0:i1] = xb[:, :, s + i0: s + i1]
+    for images, r0, r1, slabs, block in _slab_bands(x, kh, dh, ph, out_h,
+                                                    kw * o, dtype):
+        nb, rows = len(slabs), r1 - r0
         prod = np.matmul(w2, slabs.reshape(nb, c * kh, rows * wd),
-                         out=band[slab_size:].reshape(nb, kw * o, rows * wd)
-                         ).reshape(nb, kw, o, rows, wd)
+                         out=block).reshape(nb, kw, o, rows, wd)
         yb = y[images, :, r0:r1]
         # output column j of kernel column kj reads input column j + q
         for kj in range(kw):
@@ -409,40 +391,51 @@ def _conv(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
 def _conv_vjp(gy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation,
               padding, want_gx: bool, want_gw: bool):
     """(gx, gw) of ``_conv`` for the output gradient gy, each None unless
-    wanted, from one im2col of gy per band of input rows.
+    wanted: ``_conv``'s bands, each step transposed.
 
-    gx is the stride-1 conv of gy, zero-extended by d*(k-1) - p per side
-    (cropped where that is negative), with the flipped kernel's channel
-    axes swapped; the same columns against x give the weight gradient with
-    its taps flipped.
+    The block takes kw column-shifted copies of gy (the adjoint of the
+    shifted adds); against the slabs it gives the weight gradient, and the
+    weight's transpose times it the slabs' gradient, whose kh row blocks add
+    into gx (the adjoint of the slab copies).
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     dh, dw = dilation
-    origin = (padding[0] - dh * (kh - 1), padding[1] - dw * (kw - 1))
-    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    gx = np.empty((n, c, h * wd), np.result_type(wf, gy)) if want_gx else None
-    gwf = (np.zeros((o * kh * kw, c), np.result_type(gy, x))
-           if want_gw else None)
-    x2 = x.reshape(n, c, h * wd)
-    # the band's gx rows are written once; the weight partials add up band
-    # by band in a fixed order
-    for images, r0, r1 in _bands(n, h, o * kh * kw * wd * gy.itemsize):
-        cols = _im2col(gy[images], kh, kw, r1 - r0, wd, dilation,
-                       (origin[0] + r0, origin[1]))
-        band = slice(r0 * wd, r1 * wd)
+    ph, pw = padding
+    out_h, out_w = gy.shape[2:]
+    w2 = w.transpose(3, 0, 1, 2).reshape(kw * o, c * kh)
+    dtype = np.result_type(w2, x, gy)
+    gx = np.zeros(x.shape, dtype) if want_gx else None
+    gw2 = np.zeros(w2.shape, dtype) if want_gw else None
+    # input rows in two bands' slabs and the weight partials add up band by
+    # band in a fixed order
+    for images, r0, r1, slabs, block in _slab_bands(x, kh, dh, ph, out_h,
+                                                    kw * o, dtype):
+        nb, rows, r = len(slabs), r1 - r0, r0 - ph
+        gyb = gy[images, :, r0:r1]
+        shifted = block.reshape(nb, kw, o, rows, wd)
+        # product column j + q of kernel column kj takes gy's column j, and
+        # 0 where no output column reads it
+        for kj in range(kw):
+            q = kj * dw - pw
+            j0, j1 = _span(q, out_w, wd)
+            shifted[:, kj, ..., :q + j0] = 0
+            shifted[:, kj, ..., q + j1:] = 0
+            shifted[:, kj, ..., q + j0: q + j1] = gyb[..., j0:j1]
+        flat = slabs.reshape(nb, c * kh, rows * wd)
+        if gw2 is not None:
+            gw2 += _weight_grad(block, flat)
         if gx is not None:
-            np.matmul(wf, cols, out=gx[images, :, band])
-        if gwf is not None:
-            gwf += _weight_grad(cols, x2[images, :, band])
-        # release this band's columns before _im2col builds the next band's
-        del cols
-    if gx is not None:
-        gx = gx.reshape(x.shape)
-    if gwf is not None:
-        gwf = np.ascontiguousarray(
-            gwf.reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
-    return gx, gwf
+            # the slabs are spent: their gradient overwrites them
+            np.matmul(w2.T, block, out=flat)
+            for ki in range(kh):
+                s = r + ki * dh
+                i0, i1 = _span(s, rows, h)
+                gx[images, :, s + i0: s + i1] += slabs[:, :, ki, i0:i1]
+    if gw2 is not None:
+        gw2 = np.ascontiguousarray(
+            gw2.reshape(kw, o, c, kh).transpose(1, 2, 3, 0))
+    return gx, gw2
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,

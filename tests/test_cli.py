@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,32 @@ class TestPipeline:
         assert "ckpt_final.sadn" in err
         assert (tmp_path / "ckpt" / "ckpt_final.sadn").exists()
         assert len(out.splitlines()) == 2  # iterations 2 and 4 logged
+
+
+class TestReproducibleTrain:
+    def test_two_runs_write_the_same_checkpoint(self, capsys, tmp_path,
+                                                corpus):
+        # the README's scope: a fixed seed, BLAS thread count and numpy
+        # version; each run is its own process, as a resumed run would be
+        noisy_dir = tmp_path / "noisy"
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(noisy_dir), "--sigma", "25")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        blobs = []
+        for name in ("a", "b"):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                "in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+                "context_compression = 4\npatch_size = 16\nbatch_size = 2\n"
+                "max_iters = 3\ncheckpoint_interval = 0\nlog_interval = 0\n"
+                f"manifest = {noisy_dir / 'manifest.tsv'}\n"
+                f"checkpoint_dir = {tmp_path / name}\n")
+            subprocess.run([sys.executable, "-m", "sadnet.cli", "train",
+                            "--config", str(cfg)], env=env, check=True,
+                           capture_output=True)
+            blobs.append((tmp_path / name / "ckpt_final.sadn").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestNegativeSeed:

@@ -367,7 +367,8 @@ def _forward_growth(op):
 
 
 class TestForwardKeepsNoColumns:
-    """Backward builds its own columns, so forward leaves only its output."""
+    """Backward copies its input rows again, so forward leaves only its
+    output."""
 
     @pytest.mark.parametrize("stride,dilation,padding", [
         ((1, 1), (1, 1), (1, 1)), ((2, 2), (1, 1), (0, 0)),
@@ -452,11 +453,11 @@ def _run_banded(monkeypatch, budget, op, arrays, gy):
 class TestBands:
     """Row bands change what an op allocates, not what it computes.
 
-    A budget below one row forces one row per band: output rows in forward,
-    input rows in backward, whose output may be smaller ("shrinking") or
-    larger ("growing") than its input; a 1x1 kernel ("pointwise") copies
-    its rows as any kernel does, and a 2x2 up or down conv is a 1x1 conv of
-    blocks. The forward and every gradient match the single-band run to
+    A budget below one row forces one row per band: output rows, in
+    forward and backward alike, of an output that may be smaller
+    ("shrinking") or larger ("growing") than its input; a 1x1 kernel
+    ("pointwise") copies its rows as any kernel does, and a 2x2 up or down
+    conv is a 1x1 conv of blocks. The forward and every gradient match the single-band run to
     1e-6 of their largest element: weight partials are summed in another
     order, and OpenBLAS may round a narrow GEMM block (17 columns here)
     otherwise than the same columns inside a wide one. Banded runs repeat
@@ -510,9 +511,9 @@ class TestBands:
     @pytest.mark.parametrize("c,size", [(8, 64), (16, 32), (32, 16), (64, 8)])
     def test_smoke_deform_layer_bands(self, monkeypatch, rng, c, size):
         # the acceptance smoke config's deformable convs (batch 4): only the
-        # scale-0 one splits, by whole images (11.0 MB of forward columns
-        # and tables, 13.6 MB counted in backward); the others take one
-        # band in forward and backward
+        # scale-0 one splits, by whole images into two even groups (11.0 MB
+        # of forward columns and tables, 13.6 MB counted in backward); the
+        # others take one band in forward and backward
         arrays = (rng.standard_normal((4, c, size, size)),
                   rng.standard_normal((c, c, 3, 3)),
                   np.zeros((1, c, 1, 1)),
@@ -523,10 +524,31 @@ class TestBands:
             monkeypatch, T._BAND_BYTES,
             lambda *t: modulated_deform_conv2d(*t, (1, 1)), arrays, gy)
         if size == 64:
-            assert bands == [(slice(0, 3), 0, 64), (slice(3, 4), 0, 64),
-                             (slice(0, 2), 0, 64), (slice(2, 4), 0, 64)]
+            assert bands == [(slice(0, 2), 0, 64), (slice(2, 4), 0, 64)] * 2
         else:
             assert bands == [(slice(0, 4), 0, size)] * 2
+
+    def test_backward_bands_are_forward_bands(self, monkeypatch, rng):
+        # train-stock's finest 3x3 conv under the real budget: 192 slab and
+        # product rows of 128 float32 columns per output row, so 85 + 43
+        # rows per image, in forward and in backward
+        x = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
+        w = rng.standard_normal((32, 32, 3, 3), dtype=np.float32)
+        gy = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
+        seen = []
+
+        def recording(*args):
+            for band in _real_bands(*args):
+                seen.append(band)
+                yield band
+        monkeypatch.setattr(T, "_bands", recording)
+        T._conv(x, w, (1, 1), (1, 1))
+        forward = seen[:]
+        seen.clear()
+        T._conv_vjp(gy, x, w, (1, 1), (1, 1), True, True)
+        assert forward == [(slice(i, i + 1), r0, r1) for i in range(2)
+                           for r0, r1 in ((0, 85), (85, 128))]
+        assert seen == forward
 
     @staticmethod
     def _check_smoke_step_bands(monkeypatch, rng, when):
@@ -579,11 +601,12 @@ class TestBands:
 
     def test_smoke_step_stride1_forward_bands(self, monkeypatch, rng):
         # the 35->27 scale-0 offset head's row slabs and GEMM product come
-        # to 12.2 MB for the batch (im2col columns: 20.6 MB)
+        # to 12.2 MB for the batch
         self._check_smoke_step_bands(monkeypatch, rng, "forward")
 
     def test_smoke_step_stride1_backward_bands(self, monkeypatch, rng):
-        # the same head's output-gradient columns come to 15.9 MB
+        # backward runs forward's bands: the same slabs, and the shifted
+        # output gradient in the product's place
         self._check_smoke_step_bands(monkeypatch, rng, "backward")
 
 
@@ -637,9 +660,9 @@ class TestBoundedTransients:
         assert peak < 4 * x.data.nbytes
 
     def test_conv_vjp_holds_one_band(self, rng):
-        # train-stock's finest 3x3 conv: its backward's columns split into
-        # 56 + 56 + 16 rows per image, and a band's columns must be freed
-        # before the next band's are built
+        # train-stock's finest 3x3 conv: its backward's slabs and shifted
+        # output gradient split into 85 + 43 rows per image, in one buffer
+        # that the bands share
         x = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
         w = rng.standard_normal((32, 32, 3, 3), dtype=np.float32)
         gy = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
