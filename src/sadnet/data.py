@@ -1,7 +1,11 @@
 """Image I/O, synthetic noise, and dihedral augmentation.
 
 Images travel as binary PGM (P5, grayscale) / PPM (P6, color) with maxval
-255 so round trips are bit-exact without any image library. All randomness
+255 so round trips are bit-exact without any image library. ``load_image``
+reads a whole image with one ``open``; ``open_image`` reads only its header
+and checks that the payload fits in the file, and ``read_rows`` then reads
+whole rows from disk with explicit reads, so a training corpus stays on disk
+and only the rows of the patches drawn are ever in memory. All randomness
 is drawn from numpy's Philox counter-based generator (normal deviates via
 its ziggurat sampler), pinned so that a given (image, sigma, seed) triple
 reproduces bit-identically across runs and platforms.
@@ -52,6 +56,10 @@ def make_rng(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+class _ShortHeader(DataError):
+    """The header runs past the bytes read so far."""
+
+
 def _read_header_tokens(blob: bytes, count: int, pos: int):
     """Read whitespace/comment-separated ASCII tokens from a PNM header."""
     tokens = []
@@ -67,20 +75,24 @@ def _read_header_tokens(blob: bytes, count: int, pos: int):
         while pos < n and not blob[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise DataError(f"truncated PNM header at byte offset {start}")
+            raise _ShortHeader(f"truncated PNM header at byte offset {start}")
         tokens.append(blob[start:pos])
     if pos >= n:
-        raise DataError(f"missing payload separator at byte offset {pos}")
+        raise _ShortHeader(f"missing payload separator at byte offset {pos}")
     pos += 1  # exactly one whitespace byte before the payload
     return tokens, pos
 
 
-def load_image(path) -> ImageBuffer:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read image {path}: {exc}") from exc
+def _truncated_payload(path, at: int, need: int, got: int) -> DataError:
+    """A read of ``need`` payload bytes from offset ``at`` that got ``got``."""
+    return DataError(f"{path}: truncated payload at byte offset {at + got} "
+                     f"(need {need} bytes, got {got})")
+
+
+def _parse_header(blob: bytes, path, size: int):
+    """(width, height, channels, payload offset) of the PNM header that
+    starts ``blob``, for a file of ``size`` bytes that the payload must fit.
+    A header that runs past ``blob`` raises ``_ShortHeader``."""
     magic = blob[:2]
     if magic == b"P5":
         channels = 1
@@ -100,13 +112,82 @@ def load_image(path) -> ImageBuffer:
     if width < 1 or height < 1:
         raise DataError(f"{path}: bad dimensions {width}x{height}")
     need = width * height * channels
-    payload = blob[pos:pos + need]
-    if len(payload) != need:
-        raise DataError(
-            f"{path}: truncated payload at byte offset {pos + len(payload)} "
-            f"(need {need} bytes, got {len(payload)})")
+    got = min(size - pos, need)
+    if got != need:
+        raise _truncated_payload(path, pos, need, got)
+    return width, height, channels, pos
+
+
+def load_image(path) -> ImageBuffer:
+    """The whole image, read with exactly one ``open`` of ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read image {path}: {exc}") from exc
+    width, height, channels, pos = _parse_header(blob, path, len(blob))
+    # the slice is one more transient copy, but reading the blob in place
+    # raised the peak RSS of a stock eval by 2.3 MB (heap layout)
+    payload = blob[pos:pos + width * height * channels]
     samples = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return ImageBuffer(width, height, channels, samples.copy())
+
+
+@dataclass(frozen=True)
+class ImageFile:
+    """An image left on disk: its header, and where its payload starts."""
+
+    path: str
+    width: int
+    height: int
+    channels: int
+    offset: int
+
+
+# Bytes ``open_image`` reads first; a longer header doubles the read.
+_HEADER_CHUNK = 4096
+
+
+def open_image(path) -> ImageFile:
+    """The header of the image at ``path``; no payload byte is read.
+
+    The file's size, from ``os.fstat``, must hold the whole payload: a
+    short file is the same DataError as in ``load_image``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            blob = fh.read(_HEADER_CHUNK)
+            while True:
+                try:
+                    header = _parse_header(blob, path, size)
+                    break
+                except _ShortHeader:
+                    more = fh.read(len(blob))
+                    if not more:
+                        raise
+                    blob += more
+    except OSError as exc:
+        raise DataError(f"cannot read image {path}: {exc}") from exc
+    return ImageFile(str(path), *header)
+
+
+def read_rows(image: ImageFile, top: int, rows: int) -> np.ndarray:
+    """Rows ``top .. top + rows - 1`` of ``image``, read from its file as
+    uint8 ``(rows, width, channels)``; a short read is a DataError."""
+    row = image.width * image.channels
+    at = image.offset + top * row
+    out = np.empty((rows, image.width, image.channels), dtype=np.uint8)
+    try:
+        with open(image.path, "rb") as fh:
+            fh.seek(at)
+            got = fh.readinto(out)
+    except OSError as exc:
+        raise DataError(f"cannot read image {image.path} at byte offset "
+                        f"{at}: {exc}") from exc
+    if got != out.nbytes:
+        raise _truncated_payload(image.path, at, out.nbytes, got)
+    return out
 
 
 def save_image(buffer: ImageBuffer, path) -> None:

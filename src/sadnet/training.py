@@ -19,8 +19,8 @@ from . import tensor as T
 from .checkpoint import (Checkpoint, load_checkpoint, require_config_match,
                          save_checkpoint)
 from .data import (ImageBuffer, augment, from_tensor, load_image, make_dir,
-                   make_rng, read_manifest, read_text_lines, save_image,
-                   to_tensor)
+                   make_rng, open_image, read_manifest, read_rows,
+                   read_text_lines, save_image, to_tensor)
 from .errors import DataError, NumericError, UsageError
 from .metrics import SSIM_WINDOW, MetricReport, psnr, ssim
 from .model import ModelConfig, SADNet, _field_types, denoise_tensor
@@ -102,10 +102,11 @@ def lr_schedule(iteration: int, config: TrainConfig) -> float:
 
 
 def _load_training_set(config: TrainConfig):
-    """The corpus as 8-bit buffers; ``sample_batch`` dequantizes patches only.
+    """The corpus as image headers; ``sample_batch`` reads patch rows only.
 
-    Every image must be large enough for a patch and have the model's
-    channel count, and the manifest must list at least one image.
+    Every image must be large enough for a patch, have the model's channel
+    count and hold its whole payload, and the manifest must list at least
+    one image. No pixel is read here.
     """
     entries = read_manifest(config.manifest)
     if not entries:
@@ -113,7 +114,7 @@ def _load_training_set(config: TrainConfig):
     missing = [e.clean_path for e in entries if not os.path.exists(e.clean_path)]
     if missing:
         raise DataError("missing training images: " + ", ".join(missing))
-    images = [load_image(e.clean_path) for e in entries]
+    images = [open_image(e.clean_path) for e in entries]
     want = config.model.in_channels
     wrong = [f"{e.clean_path} has {img.channels} channels"
              for e, img in zip(entries, images) if img.channels != want]
@@ -130,9 +131,11 @@ def _load_training_set(config: TrainConfig):
 def sample_batch(rng, entries, images, batch_size: int, patch_size: int):
     """One batch of (noisy, clean) float32 patches, each (n, c, p, p).
 
-    Per patch, in this order: image index, top, left, augment code, noise.
-    The 8-bit crop is dequantized alone; ``to_tensor`` is elementwise, so
-    the patch equals the same crop of the whole dequantized image.
+    ``images`` are ``ImageFile`` headers; each patch reads its own rows
+    from disk. Per patch, in this order: image index, top, left, augment
+    code, noise. The 8-bit crop is dequantized alone; ``to_tensor`` is
+    elementwise, so the patch equals the same crop of the whole dequantized
+    image.
     """
     ps = patch_size
     clean_parts, noisy_parts = [], []
@@ -141,7 +144,7 @@ def sample_batch(rng, entries, images, batch_size: int, patch_size: int):
         img = images[ei]
         top = int(rng.integers(0, img.height - ps + 1))
         left = int(rng.integers(0, img.width - ps + 1))
-        crop = img.samples[top:top + ps, left:left + ps]
+        crop = read_rows(img, top, ps)[:, left:left + ps]
         patch = to_tensor(ImageBuffer(ps, ps, img.channels, crop),
                           dtype=np.float32)
         patch = augment(patch, int(rng.integers(0, 8)))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -386,6 +387,43 @@ class TestTrainCorpusErrors:
         rgb = random_image(rng, tmp_path / "a.ppm", 20, 24, channels=3)
         err = self.train(capsys, tmp_path, [f"{rgb}\t{rgb}\t-25\t0\n"])
         assert "train.tsv:1: sigma must be finite and non-negative" in err
+
+
+class TestTrainCorpusDamagedMidRun:
+    def test_exit_2_keeps_written_checkpoint(self, capsys, monkeypatch,
+                                             tmp_path, corpus):
+        noisy_dir = tmp_path / "noisy"
+        run(capsys, "make-noisy", "--in-dir", str(corpus),
+            "--out-dir", str(noisy_dir), "--sigma", "25")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "in_channels = 1\nscales = 2\nchannels_per_scale = 4,8\n"
+            "patch_size = 16\nbatch_size = 2\nmax_iters = 3\n"
+            "checkpoint_interval = 1\nlog_interval = 1\n"
+            f"manifest = {noisy_dir / 'manifest.tsv'}\n"
+            f"checkpoint_dir = {tmp_path / 'ckpt'}\n")
+        first = tmp_path / "ckpt" / "ckpt_00000001.sadn"
+        written = []
+        sampler = training_module.sample_batch
+
+        def truncated_after_step_1(*args):
+            if first.exists() and not written:
+                written.append(first.read_bytes())
+                for path in corpus.iterdir():
+                    path.write_bytes(path.read_bytes()[:20])
+            return sampler(*args)
+
+        monkeypatch.setattr(training_module, "sample_batch",
+                            truncated_after_step_1)
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert len(out.splitlines()) == 1  # step 1 logged, step 2 failed
+        assert "Traceback" not in err
+        assert re.search(r"img[0-2]\.pgm: truncated payload at byte offset "
+                         r"\d+", err)
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+            first.name]
+        assert first.read_bytes() == written[0]
 
 
 class TestExportOffsets:

@@ -1,18 +1,33 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sadnet import data as data_module
 from sadnet.data import (ImageBuffer, ManifestEntry, NoiseSpec, add_awgn,
                          augment, from_tensor,
                          generate_noisy_corpus, load_image, make_rng,
-                         read_manifest, save_image, to_tensor, write_manifest)
+                         open_image, read_manifest, read_rows, save_image,
+                         to_tensor, write_manifest)
 from sadnet.errors import ConfigurationError, DataError, UsageError
 from sadnet.tensor import Tensor
 from sadnet.training import parse_train_config
 
 from conftest import synth_buffer
+
+
+# paths of ``open`` audit events, recorded while this is a list
+_opened = None
+
+
+def _record_open(event, args):
+    if event == "open" and _opened is not None:
+        _opened.append(args[0])
+
+
+sys.addaudithook(_record_open)
 
 
 class TestPNM:
@@ -60,6 +75,82 @@ class TestPNM:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_image(tmp_path / "nope.pgm")
+
+    def test_load_image_opens_each_file_once(self, rng, tmp_path):
+        # perfbench's eval-stock marks an op boundary at each ``open`` of a
+        # clean image path, so a second open per image would corrupt it
+        global _opened
+        for channels, name in [(1, "g.pgm"), (3, "c.ppm")]:
+            path = tmp_path / name
+            samples = rng.integers(0, 256, (5, 7, channels)).astype(np.uint8)
+            save_image(ImageBuffer(7, 5, channels, samples), path)
+            _opened = []
+            try:
+                load_image(path)
+            finally:
+                opened, _opened = _opened, None
+            assert opened == [str(path)]
+
+
+class TestOpenImage:
+    """Headers in memory, payload rows read from disk on demand."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_header_fields_and_rows(self, rng, tmp_path, channels):
+        samples = rng.integers(0, 256, (9, 7, channels)).astype(np.uint8)
+        path = tmp_path / "a.pnm"
+        save_image(ImageBuffer(7, 9, channels, samples), path)
+        img = open_image(path)
+        assert (img.path, img.width, img.height, img.channels, img.offset) == (
+            str(path), 7, 9, channels, len(b"P5\n7 9\n255\n"))
+        for top, rows in [(0, 9), (2, 3), (8, 1)]:
+            np.testing.assert_array_equal(read_rows(img, top, rows),
+                                          samples[top:top + rows])
+
+    def test_comment_longer_than_first_read(self, rng, tmp_path):
+        samples = rng.integers(0, 256, (4, 5, 3)).astype(np.uint8)
+        header = (b"P6\n# " + b"c" * (3 * data_module._HEADER_CHUNK)
+                  + b"\n5 4\n255\n")
+        path = tmp_path / "long.ppm"
+        path.write_bytes(header + samples.tobytes())
+        img = open_image(path)
+        assert (img.width, img.height, img.channels, img.offset) == (
+            5, 4, 3, len(header))
+        np.testing.assert_array_equal(read_rows(img, 1, 3), samples[1:])
+        np.testing.assert_array_equal(load_image(path).samples, samples)
+
+    @pytest.mark.parametrize("blob", [
+        b"P5\n4 4\n255\n" + bytes(10),  # short payload
+        b"P5\n4 4\n255",                 # no payload separator
+        b"P5\n4 4\n# " + b"c" * 5000,    # a long comment, then nothing
+        b"P5\n4 x\n255\n" + bytes(16),
+        b"P6\n0 4\n255\n",
+        b"P3\n1 1\n255\n0 0 0\n",
+    ])
+    def test_same_errors_as_load_image(self, tmp_path, blob):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(DataError) as loaded:
+            load_image(path)
+        with pytest.raises(DataError) as opened:
+            open_image(path)
+        assert str(opened.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    def test_read_rows_on_a_damaged_file_names_it(self, rng, tmp_path, damage):
+        path = tmp_path / "a.pgm"
+        save_image(synth_buffer(rng, 16), path)
+        img = open_image(path)
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:img.offset + 40])
+            want = (f"{path}: truncated payload at byte offset "
+                    f"{img.offset + 40} (need 64 bytes, got 24)")
+        else:
+            path.unlink()
+            want = f"cannot read image {path} at byte offset {img.offset + 16}"
+        with pytest.raises(DataError) as err:
+            read_rows(img, 1, 4)
+        assert str(err.value).startswith(want)
 
 
 class TestQuantization:
@@ -240,12 +331,15 @@ class TestManifest:
 
 
 class TestParsersProperty:
-    """A damaged PNM, manifest or config file parses or raises one of the
-    documented errors, never anything else. Only the parsers run: a
-    mutated config may ask for a model of any size."""
+    """A damaged PNM (read whole or as a header), manifest or config file
+    parses or raises one of the documented errors, never anything else.
+    Only the parsers run: a mutated config may ask for a model of any
+    size."""
 
     SEEDS = {
         "pnm": (load_image, b"P6\n# seed\n4 3\n255\n" + bytes(range(36))),
+        "pnm_header": (open_image,
+                       b"P6\n# seed\n4 3\n255\n" + bytes(range(36))),
         "manifest": (read_manifest,
                      b"a.pgm\tb.pgm\t25\t0\nc d.ppm\te.ppm\t15.5\t7\n"),
         "config": (parse_train_config,

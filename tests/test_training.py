@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -9,8 +10,8 @@ import pytest
 
 from sadnet.checkpoint import load_checkpoint
 from sadnet.data import (ImageBuffer, ManifestEntry, NoiseSpec, add_awgn,
-                         from_tensor, load_image, make_rng, save_image,
-                         to_tensor, write_manifest)
+                         from_tensor, load_image, make_rng, open_image,
+                         save_image, to_tensor, write_manifest)
 from sadnet.errors import DataError, NumericError, UsageError
 from sadnet.gradcheck import finite_diff_check
 from sadnet.model import ModelConfig, SADNet
@@ -20,7 +21,7 @@ from sadnet.metrics import psnr, ssim
 from sadnet.training import (TrainConfig, denoise_image, denoise_tensor,
                              evaluate, load_inference_model, lr_schedule,
                              parse_train_config, sample_batch, train)
-from sadnet import training as training_mod
+from sadnet import data as data_module, training as training_mod
 
 from conftest import synth_buffer
 from oracles import sample_batch_reference
@@ -256,8 +257,19 @@ class TestTrainingLoop:
             train(cfg)
 
 
+def _leaves(obj):
+    """Every value reachable from obj through containers and attributes."""
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _leaves(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _leaves(list(vars(obj).values()))
+    else:
+        yield obj
+
+
 class TestTrainingSet:
-    """The corpus stays 8-bit; a bad corpus stops before any step."""
+    """The corpus stays on disk; a bad corpus stops before any step."""
 
     @staticmethod
     def write_corpus(tmp_path, rng, shapes):
@@ -273,10 +285,16 @@ class TestTrainingSet:
         return str(manifest)
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_sampler_matches_float32_corpus_oracle(self, rng, channels):
+    def test_sampler_matches_float32_corpus_oracle(self, rng, tmp_path,
+                                                   channels):
         shapes = [(24, 40), (37, 19), (19, 19)]
-        images = [ImageBuffer(w, h, channels, rng.integers(
-            0, 256, (h, w, channels)).astype(np.uint8)) for h, w in shapes]
+        samples = [rng.integers(0, 256, (h, w, channels)).astype(np.uint8)
+                   for h, w in shapes]
+        images = []
+        for i, ((h, w), pixels) in enumerate(zip(shapes, samples)):
+            path = tmp_path / f"img{i}.pnm"
+            save_image(ImageBuffer(w, h, channels, pixels), path)
+            images.append(open_image(path))
         entries = [ManifestEntry("", "", sigma, 0)
                    for sigma in (5.0, 25.0, 50.0)]
         ours, ref = make_rng(17), make_rng(17)
@@ -284,8 +302,7 @@ class TestTrainingSet:
         for _ in range(10):
             noisy, clean = sample_batch(ours, entries, images, 4, 16)
             want_noisy, want_clean, batch_codes = sample_batch_reference(
-                ref, [b.samples for b in images],
-                [e.sigma for e in entries], 4, 16)
+                ref, samples, [e.sigma for e in entries], 4, 16)
             codes += batch_codes
             assert noisy.dtype == clean.dtype == np.float32
             assert noisy.shape == (4, channels, 16, 16)
@@ -295,25 +312,73 @@ class TestTrainingSet:
         np.testing.assert_equal(ours.bit_generator.state,
                                 ref.bit_generator.state)
 
-    def test_train_keeps_the_corpus_8bit(self, rng, tmp_path, monkeypatch):
+    def test_train_holds_no_corpus_pixels(self, rng, tmp_path, monkeypatch):
+        """sample_batch gets headers only, and each step reads batch_size
+        patches of patch_size rows from disk."""
         shapes = [(32, 48, 1), (40, 32, 1), (32, 32, 1)]
-        cfg = tiny_train_config(tmp_path, rng, max_iters=1,
+        cfg = tiny_train_config(tmp_path, rng, max_iters=2,
                                 checkpoint_interval=0)
         cfg.manifest = self.write_corpus(tmp_path, rng, shapes)
-        seen = []
-        sampler = training_mod.sample_batch
+        received, reads = [], []
+        sampler, reader = training_mod.sample_batch, training_mod.read_rows
 
-        def recorded(rng_, entries, images, *args):
-            seen.append(images)
-            return sampler(rng_, entries, images, *args)
+        def recorded(*args):
+            received.append(args)
+            reads.append([])
+            return sampler(*args)
+
+        def counted(image, top, rows):
+            reads[-1].append(rows)
+            return reader(image, top, rows)
 
         monkeypatch.setattr(training_mod, "sample_batch", recorded)
+        monkeypatch.setattr(training_mod, "read_rows", counted)
         train(cfg)
-        (images,) = seen
-        assert all(img.samples.dtype == np.uint8 and img.samples.base is None
-                   for img in images)
-        assert (sum(img.samples.nbytes for img in images)
-                == sum(h * w * c for h, w, c in shapes))
+        assert len(received) == 2
+        assert not any(isinstance(leaf, np.ndarray)
+                       for leaf in _leaves(received))
+        assert reads == [[cfg.patch_size] * cfg.batch_size] * 2
+
+    def test_header_claiming_more_pixels_rejected_unread(self, rng, tmp_path,
+                                                         monkeypatch):
+        """Setup stops on the header's size alone, before any step."""
+        cfg = tiny_train_config(tmp_path, rng, image_size=128)
+        bad = tmp_path / "clean" / "img2.pgm"
+        blob = bad.read_bytes()
+        bad.write_bytes(blob.replace(b"128 128", b"128 129", 1))
+        read = []
+        real_open = open
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, size=-1):
+                data = self.fh.read(size)
+                read.append(len(data))
+                return data
+
+            def fileno(self):
+                return self.fh.fileno()
+
+        def counted_open(path, *args):
+            fh = real_open(path, *args)
+            return Counted(fh) if str(path) == str(bad) else fh
+
+        monkeypatch.setattr(data_module, "open", counted_open, raising=False)
+        monkeypatch.setattr(training_mod, "sample_batch", None)
+        with pytest.raises(DataError,
+                           match=r"img2\.pgm: truncated payload at byte offset "
+                                 r"\d+ \(need 16512 bytes, got 16384\)"):
+            train(cfg)
+        assert 0 < sum(read) <= data_module._HEADER_CHUNK < len(blob)
+        assert not (tmp_path / "ckpt").exists()
 
     def test_empty_manifest_rejected(self, rng, tmp_path):
         cfg = tiny_train_config(tmp_path, rng)
@@ -371,6 +436,38 @@ class TestTrainingSet:
             weights.append([p.data for _, p in ck.model.params()])
         for a, b in zip(*weights):
             np.testing.assert_array_equal(a, b)
+
+
+class TestCorpusDamagedMidRun:
+    """A corpus image damaged after setup stops the next step with a
+    DataError, and the checkpoints already written stay as they were."""
+
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    def test_next_step_names_file_and_offset(self, rng, tmp_path, monkeypatch,
+                                             damage):
+        cfg = tiny_train_config(tmp_path, rng, n_images=2, max_iters=5,
+                                checkpoint_interval=1)
+        ckpt = tmp_path / "ckpt"
+        images = sorted((tmp_path / "clean").iterdir())
+        written = {}
+        sampler = training_mod.sample_batch
+
+        def damaged_before_step_3(*args):
+            if not written and (ckpt / "ckpt_00000002.sadn").exists():
+                written.update((p.name, p.read_bytes()) for p in ckpt.iterdir())
+                for path in images:
+                    if damage == "truncate":
+                        path.write_bytes(path.read_bytes()[:20])
+                    else:
+                        path.unlink()
+            return sampler(*args)
+
+        monkeypatch.setattr(training_mod, "sample_batch", damaged_before_step_3)
+        with pytest.raises(DataError) as err:
+            train(cfg)
+        assert re.search(r"img[01]\.pgm.* at byte offset \d+", str(err.value))
+        assert set(written) == {"ckpt_00000001.sadn", "ckpt_00000002.sadn"}
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == written
 
 
 class TestStepMemory:
