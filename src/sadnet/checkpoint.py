@@ -19,15 +19,19 @@ Layout (little-endian throughout):
 Tensor records are the model parameters in model order, followed by the
 ADAM first/second moments under "adam.m.<name>" / "adam.v.<name>" once the
 optimizer has stepped. The fixed ordering makes save -> load -> save
-byte-identical. Loading checks every moment against the model: it must name
-a parameter, have that parameter's shape, and come with its m/v partner,
-so a resumed run never restarts one parameter's Adam state silently.
+byte-identical. A save writes each tensor from its own buffer, and a load
+reads the file front to back, each tensor straight into its own array, so
+neither holds the weights twice. Loading checks every moment against the
+model: it must name a parameter, have that parameter's shape, and come with
+its m/v partner, so a resumed run never restarts one parameter's Adam state
+silently.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -79,29 +83,47 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     for d in arr.shape:
         fh.write(struct.pack("<I", d))
     fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-    fh.write(np.ascontiguousarray(arr).tobytes())
+    # the array's own buffer: a tobytes() copy would double the largest tensor
+    fh.write(np.ascontiguousarray(arr))
 
 
 class _Reader:
-    """Reads a checkpoint blob through zero-copy memoryview slices: each
-    tensor is copied once, out of the file's bytes into its own array."""
+    """Reads a checkpoint file front to back. Each field is checked against
+    the file's size before anything is allocated for it, and each tensor is
+    read straight into its own array: the file is never held whole."""
 
-    def __init__(self, blob: bytes, path):
-        self.blob = memoryview(blob)
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def _need(self, n: int, have: int) -> None:
+        if have < n:
             raise DataError(
                 f"{self.path}: truncated checkpoint at byte offset {self.pos} "
                 f"(need {n} more bytes)")
-        out = self.blob[self.pos:self.pos + n]
+
+    def take(self, n: int) -> bytes:
+        self._need(n, self.size - self.pos)
+        out = self.fh.read(n)
+        # a file that shrank after its size was taken reads short
+        self._need(n, len(out))
         self.pos += n
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        # Python integers: an int64 product of large dims can wrap to 0
+        nbytes = math.prod(shape) * dtype.itemsize
+        self._need(nbytes, self.size - self.pos)
+        arr = np.empty(shape, dtype)
+        # a flat byte view: memoryview.cast refuses a zero-size shape
+        self._need(nbytes, self.fh.readinto(arr.reshape(-1).view(np.uint8)))
+        self.pos += nbytes
+        return arr
 
 
 def save_checkpoint(path, model: SADNet, adam: AdamState, iteration: int,
@@ -136,10 +158,13 @@ def save_checkpoint(path, model: SADNet, adam: AdamState, iteration: int,
 def load_checkpoint(path) -> Checkpoint:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _load(_Reader(fh, path))
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob, path)
+
+
+def _load(r: _Reader) -> Checkpoint:
+    path = r.path
     if r.take(4) != MAGIC:
         raise DataError(f"{path}: bad magic bytes (not a checkpoint)")
     (version,) = r.unpack("<I")
@@ -178,14 +203,10 @@ def load_checkpoint(path) -> Checkpoint:
         (code,) = r.unpack("<B")
         if code not in _DTYPES:
             raise DataError(f"{path}: unknown dtype code {code} for tensor {name}")
-        dtype = np.dtype(_DTYPES[code])
-        # Python integers: an int64 product of large dims can wrap to 0
-        nbytes = math.prod(shape) * dtype.itemsize
-        arr = np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
-        tensors[name] = arr
+        tensors[name] = r.array(shape, np.dtype(_DTYPES[code]))
         order.append(name)
-    if r.pos != len(blob):
-        raise DataError(f"{path}: {len(blob) - r.pos} trailing bytes after "
+    if r.pos != r.size:
+        raise DataError(f"{path}: {r.size - r.pos} trailing bytes after "
                         f"the last tensor record at byte offset {r.pos}")
 
     dtype = tensors[order[0]].dtype if order else np.float32

@@ -130,7 +130,8 @@ class ScaleState:
     """Per-scale decoder state captured during a forward pass.
 
     Plain arrays, not graph tensors, so the model keeps no graph alive
-    between forward passes.
+    between forward passes. The next forward drops them before its first
+    conv, so they never sit beside its activations.
     """
     scale: int
     offsets: np.ndarray
@@ -306,8 +307,8 @@ class OffsetTransfer:
     def __call__(self, x: Tensor, prev=None):
         f = self.conv1(x, slope=self.slope)
         if prev is not None:
-            up_off, up_mask = upsample_offsets(*prev)
-            f = T.concat_channels(f, up_off, up_mask)
+            # the upsampled fields live only inside the concat
+            f = T.concat_channels(f, *upsample_offsets(*prev))
         raw = self.head(f)
         k2 = 2 * self.k_taps
         offsets = T.slice_channels(raw, 0, k2)
@@ -398,28 +399,29 @@ class SADNet:
                 f"input spatial size {h}x{w} must be divisible by {div}; "
                 f"pad the image (e.g. reflect-pad) before calling")
 
-        f = self.head(x)
+        # Without a graph only these locals hold an activation, so each one
+        # is let go as its last reader takes it: encoder features are popped
+        # into their concat, and each up conv's output goes straight in.
+        self.scale_states = []
+        d = self.head(x)
         enc_feats = []
         for s in range(cfg.scales):
             for block in self.enc[s]:
-                f = block(f)
-            enc_feats.append(f)
+                d = block(d)
+            enc_feats.append(d)
             if s < cfg.scales - 1:
-                f = self.down[s](f)
+                d = self.down[s](d)
 
-        d = self.context(enc_feats[-1])
+        d = self.context(enc_feats.pop())
         prev = None
-        self.scale_states = []
         for s in range(cfg.scales - 1, -1, -1):
             if s < cfg.scales - 1:
-                d = self.fuse[s](T.concat_channels(enc_feats[s], d))
+                d = self.fuse[s](T.concat_channels(enc_feats.pop(), self.up[s](d)))
             offsets, masks = self.offset[s](d, prev)
             for block in self.rsabs[s]:
                 d = block(d, offsets, masks)
             self.scale_states.append(ScaleState(s, offsets.data, masks.data))
             prev = (offsets, masks)
-            if s > 0:
-                d = self.up[s - 1](d)
         return self.tail(d, skip=x)
 
     __call__ = forward

@@ -1,10 +1,27 @@
-"""Independent brute-force reference implementations used as test oracles.
+"""Independent brute-force reference implementations used as test oracles,
+and the traced-memory probe that the memory tests share.
 
 Everything here is written as plain nested loops over the defining formulas,
 deliberately sharing no code with the library's vectorized paths.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
+
+
+def traced_peak(fn):
+    """fn's result, and the most traced bytes above the level before it
+    while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def bilinear_sample(feature: np.ndarray, y: float, x: float,

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +17,7 @@ from sadnet.model import ModelConfig, SADNet
 from sadnet.optim import AdamState, adam_step
 from sadnet.tensor import Tensor
 
+from oracles import traced_peak
 from test_model import micro_config
 
 
@@ -338,6 +341,86 @@ class TestCorruptionProperty:
         side = model.config.divisor
         model(Tensor(np.zeros((1, model.config.in_channels, side, side),
                               model.tail.weight.dtype)))
+
+
+def shrink_after_fstat(monkeypatch, path) -> None:
+    """Cut the file at ``path`` by one byte right after something takes its
+    size with ``os.fstat``, as a writer truncating it concurrently would."""
+    fstat, target = os.fstat, os.stat(path)
+
+    def fstat_then_cut(fd):
+        st = fstat(fd)
+        if os.path.samestat(st, target) and st.st_size == target.st_size:
+            os.truncate(path, st.st_size - 1)
+        return st
+
+    monkeypatch.setattr(os, "fstat", fstat_then_cut)
+
+
+class TestStreamedLoad:
+    """A load reads each tensor straight into its own array; the file is
+    never held whole."""
+
+    def test_traced_peak_holds_each_tensor_once(self, tmp_path):
+        # besides the records (parameters and both Adam moments) a load
+        # holds the zero skeleton whose arrays the parameter records
+        # replace: np.zeros, traced though its pages are never touched. A
+        # whole-file blob would add the records' bytes once more.
+        model = SADNet(ModelConfig(channels_per_scale=(16, 32, 64, 128)))
+        adam = AdamState(t=1)
+        for name, p in model.params():
+            adam.m[name] = np.full_like(p.data, 0.5)
+            adam.v[name] = np.full_like(p.data, 0.25)
+        path = tmp_path / "s.sadn"
+        save_checkpoint(path, model, adam, 1)
+        ckpt, peak = traced_peak(lambda: load_checkpoint(path))
+        params = sum(p.data.nbytes for _, p in ckpt.model.params())
+        tensors = params + sum(a.nbytes for moments in (ckpt.adam.m, ckpt.adam.v)
+                               for a in moments.values())
+        assert tensors == 3 * params > 12_000_000
+        assert peak <= tensors + params + (1 << 18)
+
+    def test_save_copies_no_tensor(self, tmp_path):
+        # each record is written from its array's own buffer; a tobytes()
+        # copy would add the largest, a 256x256 3x3 conv weight of 2.4 MB
+        model = SADNet(ModelConfig())
+        _, peak = traced_peak(lambda: save_checkpoint(tmp_path / "s.sadn",
+                                                      model, AdamState(), 0))
+        largest = max(p.data.nbytes for _, p in model.params())
+        assert largest > 2_000_000
+        assert peak <= 1 << 16
+
+    def test_file_shrunk_after_its_size_was_taken(self, micro_blob, tmp_path,
+                                                  monkeypatch):
+        # the size check passes; the last record's 8 bytes then read short
+        path = tmp_path / "s.sadn"
+        path.write_bytes(micro_blob)
+        shrink_after_fstat(monkeypatch, path)
+        with pytest.raises(DataError, match=(
+                f"truncated checkpoint at byte offset {len(micro_blob) - 8} "
+                rf"\(need 8 more bytes\)")):
+            load_checkpoint(path)
+        assert path.stat().st_size == len(micro_blob) - 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.lists(st.integers(0, 3), max_size=4).map(tuple))
+    @example(shape=(2, 0, 3))
+    @example(shape=())
+    def test_record_of_any_shape_reads_whole(self, micro_blob,
+                                             tmp_path_factory, shape):
+        """Zero-size and 0-d records too: the array holds the record's
+        values, and a load reads past the record to reject its name."""
+        arr = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+        path = tmp_path_factory.getbasetemp() / "raw.bin"
+        path.write_bytes(arr.tobytes())
+        with open(path, "rb") as fh:
+            r = checkpoint._Reader(fh, path)
+            np.testing.assert_array_equal(r.array(shape, arr.dtype), arr)
+            assert r.pos == r.size
+        path.write_bytes(_with_records(micro_blob, ("extra", arr)))
+        with pytest.raises(DataError, match="unexpected tensor extra in "
+                                            "checkpoint"):
+            load_checkpoint(path)
 
 
 class TestConfigMatching:

@@ -19,6 +19,7 @@ from sadnet.model import SADNet
 from sadnet.optim import AdamState
 
 from conftest import synth_buffer
+from test_checkpoint import shrink_after_fstat
 from test_model import micro_config
 
 
@@ -568,6 +569,18 @@ class TestExitCodes:
                            "--in", "a.pgm", "--out", "b.pgm")
         assert code == 2
         assert "missing.sadn" in err
+
+    def test_checkpoint_shrunk_while_loading_is_2(self, capsys, monkeypatch,
+                                                  rng, tmp_path, micro_ckpt):
+        image = random_image(rng, tmp_path / "in.pgm", 8, 8)
+        size = os.path.getsize(micro_ckpt)
+        shrink_after_fstat(monkeypatch, micro_ckpt)
+        code, _, err = run(capsys, "denoise", "--ckpt", micro_ckpt,
+                           "--in", image, "--out", str(tmp_path / "o.pgm"))
+        assert code == 2
+        # the last record, tail.bias, is one float32
+        assert err == (f"data error: {micro_ckpt}: truncated checkpoint at "
+                       f"byte offset {size - 4} (need 4 more bytes)\n")
 
     def test_corrupt_image_is_2(self, capsys, tmp_path, micro_ckpt):
         bad = tmp_path / "bad.pgm"

@@ -12,7 +12,7 @@ from sadnet.model import (ContextBlock, Conv2d, ModelConfig, OffsetTransfer,
 from sadnet.optim import AdamState, adam_step
 from sadnet.tensor import Tensor
 
-from oracles import bilinear_upsample_reference
+from oracles import bilinear_upsample_reference, traced_peak
 
 
 def micro_config(**kw):
@@ -366,6 +366,49 @@ class TestGraph:
             runs.append(got)
         for fused, composed in zip(*runs):
             np.testing.assert_array_equal(fused, composed)
+
+
+class TestNoGradForward:
+    """Without a graph a forward holds each activation only while something
+    still reads it."""
+
+    def test_traced_peak_is_what_the_forward_must_hold(self):
+        # The peak is the scale-0 RSAB's second conv. It must hold its input
+        # (the deformable conv's output) and its skip (the RSAB's input),
+        # the scale-0 fields (the offsets are a view of the offset head's
+        # 27-channel output, the masks 9 channels more) and the coarser
+        # scales' ScaleStates, at 1/4, 1/16 and 1/64 of the pixels; and
+        # besides them its output and one band: 30.7 MB. A forward that held
+        # its dead encoder features, up conv outputs, upsampled fields and
+        # the previous forward's ScaleStates peaked at 41.7 MB.
+        model = SADNet(ModelConfig(), rng=np.random.default_rng(0))
+        for _, p in model.params():
+            p.requires_grad = False
+        x = Tensor(np.random.default_rng(1).random((1, 3, 160, 240),
+                                                   dtype=np.float32))
+        model(x)
+        _, peak = traced_peak(lambda: model(x))
+        channel = 160 * 240 * 4  # bytes of one float32 scale-0 channel
+        feature = 32 * channel
+        fields = (27 + 9) * channel
+        held = 2 * feature + fields + fields * (1 / 4 + 1 / 16 + 1 / 64)
+        assert peak <= held + feature + T._BAND_BYTES + (1 << 18)
+
+    def test_scale_states_dropped_before_the_head_conv(self, rng):
+        model = SADNet(micro_config(), rng=np.random.default_rng(0))
+        x = Tensor(rng.random((1, 1, 8, 8), dtype=np.float32))
+        model(x)
+        assert len(model.scale_states) == 2
+        seen, head = [], model.head
+
+        def spy(*args, **kwargs):
+            seen.append(list(model.scale_states))
+            return head(*args, **kwargs)
+
+        model.head = spy
+        model(x)
+        assert seen == [[]]
+        assert [st.scale for st in model.scale_states] == [1, 0]
 
 
 class TestParamNames:

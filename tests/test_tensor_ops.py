@@ -14,7 +14,7 @@ from sadnet.model import ModelConfig, SADNet, bilinear_upsample_x2
 from sadnet.tensor import Tensor
 
 from oracles import (conv2d_reference, conv2d_transpose_reference,
-                     conv2d_vjp_reference)
+                     conv2d_vjp_reference, traced_peak)
 
 
 class TestConv2d:
@@ -610,19 +610,6 @@ class TestBands:
         self._check_smoke_step_bands(monkeypatch, rng, "backward")
 
 
-def _traced_peak(fn):
-    """fn's result, and the most traced bytes above the level before it
-    while it ran."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestBoundedTransients:
     """What one large op allocates stays near the band budget.
 
@@ -634,8 +621,8 @@ class TestBoundedTransients:
 
     @staticmethod
     def _check(tensors, op):
-        y, forward = _traced_peak(lambda: op(*tensors))
-        _, backward = _traced_peak(T.tensor_sum(y).backward)
+        y, forward = traced_peak(lambda: op(*tensors))
+        _, backward = traced_peak(T.tensor_sum(y).backward)
         out = y.data.nbytes
         grads = sum(t.data.nbytes for t in tensors)
         assert forward <= out + 2 * T._BAND_BYTES
@@ -655,7 +642,7 @@ class TestBoundedTransients:
                    requires_grad=True)
         w = Tensor(rng.standard_normal((64, 64, 3, 3), dtype=np.float32),
                    requires_grad=True)
-        _, peak = _traced_peak(
+        _, peak = traced_peak(
             lambda: T.tensor_sum(T.conv2d(x, w, padding=(1, 1))).backward())
         assert peak < 4 * x.data.nbytes
 
@@ -666,7 +653,7 @@ class TestBoundedTransients:
         x = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
         w = rng.standard_normal((32, 32, 3, 3), dtype=np.float32)
         gy = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
-        (gx, gw), peak = _traced_peak(
+        (gx, gw), peak = traced_peak(
             lambda: T._conv_vjp(gy, x, w, (1, 1), (1, 1), True, True))
         assert peak <= gx.nbytes + gw.nbytes + T._BAND_BYTES + (1 << 19)
 
@@ -677,7 +664,7 @@ class TestBoundedTransients:
         w = rng.standard_normal((16, 16, 3, 3), dtype=np.float32)
         n, c, h, wd = x.shape
         o, _, kh, kw = w.shape
-        y, peak = _traced_peak(lambda: T._conv(x, w, (1, 1), (1, 1)))
+        y, peak = traced_peak(lambda: T._conv(x, w, (1, 1), (1, 1)))
         slabs_and_product = (c * kh + kw * o) * n * h * wd * x.itemsize
         # a ufunc over strided operands (the shifted adds) buffers each of
         # its 3 operands, up to np.getbufsize() elements
@@ -704,7 +691,7 @@ class TestBoundedTransients:
         # second output gradient from the fused activation.
         tensors = self._deform_tensors(rng, 2, 32, 128, 128, 2)
         loss = T.tensor_sum(modulated_deform_conv2d(*tensors, (1, 1), slope))
-        _, peak = _traced_peak(loss.backward)
+        _, peak = traced_peak(loss.backward)
         x, _, _, offsets, masks = tensors
         out_grad = x.data.nbytes
         fields = offsets.data.nbytes + masks.data.nbytes
@@ -718,7 +705,7 @@ class TestBoundedTransients:
         tensors = self._deform_tensors(rng, 1, 32, 256, 128, 3)
         y = modulated_deform_conv2d(*tensors, (1, 1))
         y.grad = rng.standard_normal(y.shape, dtype=np.float32)
-        _, peak = _traced_peak(y._backward)
+        _, peak = traced_peak(y._backward)
         grads = sum(t.grad.nbytes for t in tensors)
         assert peak <= grads + T._BAND_BYTES + (1 << 19)
 
@@ -728,7 +715,7 @@ class TestBoundedTransients:
         # whole 4 MiB gradient
         y = rng.standard_normal((2, 32, 128, 128), dtype=np.float32)
         gy = rng.standard_normal(y.shape, dtype=np.float32)
-        _, peak = _traced_peak(lambda: T._leaky_grad(gy, y, 0.2))
+        _, peak = traced_peak(lambda: T._leaky_grad(gy, y, 0.2))
         assert peak <= 13 * (1 << 17) + (1 << 16)
 
     def test_modulated_deform_conv2d(self, rng):
