@@ -191,8 +191,8 @@ def modulated_deform_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def backward(grad):
         if slope is not None:
-            # in the gradient's own dtype, before the cast, as a separate
-            # leaky_relu's backward would
+            # the activation's backward comes first, in the gradient's own
+            # dtype, before the cast
             _leaky_grad(grad, out.data, slope)
         # an upstream float64 gradient would make every product below a
         # mixed-dtype one that numpy runs by upcasting the columns

@@ -19,24 +19,21 @@ never change. Leaves and tensors without gradients keep their own arrays,
 since the optimizer updates parameters in place (shared storage for
 concatenation: Pleiss et al. 2017, arXiv:1707.06990). ``slice_channels``
 returns a view of its input. ``conv2d``'s ``skip`` adds a residual input
-into the conv's own output and receives a copy of the output gradient, as
-``add`` gives its second input: a residual join keeps no conv output that
-only an add would read. A conv's ``slope`` (``conv2d`` and the deformable
-conv) fuses the leaky ReLU after it: forward writes max(y, slope*y) into
-the conv's own fresh output after the bias and the skip (``_leaky``), so
-the graph holds the activation alone, not the conv output beside it
-(In-Place Activated BatchNorm keeps only an invertible activation's
-output in the same way: Rota Bulo et al. 2018, arXiv:1712.02616).
-Backward first scales the output gradient in place by slope wherever the
-activated output's sign bit is set (``_leaky_grad``); a tensor's backward
-owns its ``grad``, so the write needs no copy. It reads that sign through
-the output tensor, so after ``concat_channels`` rebinds the output the old
-array goes. That sign bit is set exactly where ``leaky_relu``'s
-backward scales (y < 0), for every pre-activation y but NaN and -0.0:
--0.0 >= 0, so there ``leaky_relu`` gives gy and the fused op slope*gy. A
-sum is -0.0 only if both terms are (an exact cancellation rounds to
-+0.0), so a conv with a bias yields -0.0 only where its bias is -0.0, and
-the model's convs, which all have one, match ``leaky_relu`` bit for bit.
+into the conv's own output and receives its own copy of the output
+gradient: a residual join keeps no conv output that only a separate sum
+would read. A conv's ``slope`` (``conv2d`` and the deformable conv) is
+the leaky ReLU after it: forward writes max(y, slope*y) into the conv's
+own fresh output after the bias and the skip (``_leaky``), so the graph
+holds the activation alone, not the conv output beside it (In-Place
+Activated BatchNorm keeps only an invertible activation's output in the
+same way: Rota Bulo et al. 2018, arXiv:1712.02616). Backward first scales
+the output gradient in place by slope wherever the activated output's
+sign bit is set (``_leaky_grad``); a tensor's backward owns its ``grad``,
+so the write needs no copy. It reads that sign through the output
+tensor, so after ``concat_channels`` rebinds the output the old array
+goes. The sign bit is set wherever the pre-activation is below 0, and
+also where it is -0.0, which a conv with a bias yields only where its
+bias is -0.0 (a sum is -0.0 only if both terms are).
 
 ``backward()`` consumes the graph: once a node's closure has run, the node
 drops its closure, its inputs and its gradient, so each op's saved state is
@@ -157,10 +154,10 @@ class Tensor:
         """Add g to ``grad``; the first g is stored as it is, not copied.
 
         A caller must hand over an array that nothing else writes to: a fresh
-        result, or a view no other tensor's grad shares (``add`` gives its
-        second input a copy, and ``conv2d`` its ``skip``;
-        ``concat_channels``' split views are disjoint). So a tensor's own
-        backward may write its ``grad`` in place (a fused activation does).
+        result, or a view no other tensor's grad shares (``conv2d`` gives
+        its ``skip`` a copy of the output gradient; ``concat_channels``'
+        split views are disjoint). So a tensor's own backward may write its
+        ``grad`` in place (a conv's activation does).
         """
         if not self.requires_grad:
             return
@@ -446,13 +443,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     weight: (out_c, in_c, kh, kw); bias: (1, out_c, 1, 1) or None; skip:
     None or a tensor of the output's shape, added after the bias, so a
-    residual join ``add(skip, conv2d(...))`` keeps no conv output that only
-    the add reads. slope: None, or the leaky ReLU slope in [0, 1] applied
-    last, so ``leaky_relu(conv2d(...), slope)`` keeps no conv output that
-    only the activation reads (``_leaky``). A stride other than 1 must
-    equal the kernel, with padding 0 and dilation 1 (non-overlapping
-    blocks, the 2x2 down conv). Differentiable w.r.t. x, weight, bias and
-    skip.
+    residual join keeps no conv output that only its sum reads. slope:
+    None, or the leaky ReLU slope in [0, 1]: max(y, slope*y) is applied
+    last, so the graph keeps no pre-activation (``_leaky``). A stride
+    other than 1 must equal the kernel, with padding 0 and dilation 1
+    (non-overlapping blocks, the 2x2 down conv). Differentiable w.r.t. x,
+    weight, bias and skip.
     """
     n, c, h, w = x.shape
     o, ci, kh, kw = weight.shape
@@ -510,7 +506,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 gx = _depth_to_space(gx, np.zeros(x.shape, gx.dtype), kh, kw)
             x.accumulate_grad(gx)
         if skip is not None and skip.requires_grad:
-            # a copy, as ``add`` gives its second input
+            # a copy, so the skip owns its grad (``accumulate_grad``)
             skip.accumulate_grad(gy.copy())
 
     out = _node(y, (x, weight, bias, skip), backward)
@@ -589,21 +585,6 @@ def _leaky_grad(gy: np.ndarray, y: np.ndarray, slope: float) -> None:
             g *= np.take(table, np.signbit(y[i, c0:c0 + step]).view(np.uint8))
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    """max(x, slope*x), which is leaky ReLU for a slope in [0, 1]
-    (``ModelConfig.validate`` holds the model's to that)."""
-    y = x.data * slope
-    np.maximum(x.data, y, out=y)
-
-    def backward(gy):
-        # the sign comes again from x, so forward keeps no mask; scaling the
-        # gradient itself keeps its dtype, where a float64 factor array would
-        # promote every gradient below this op
-        x.accumulate_grad(np.where(x.data >= 0, gy, slope * gy))
-
-    return _node(y, (x,), backward)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     # exp overflows to inf for logits below about -88 (float32); 1/inf is the
     # right 0, so the overflow is not worth a warning
@@ -614,31 +595,6 @@ def sigmoid(x: Tensor) -> Tensor:
         x.accumulate_grad(gy * y * (1.0 - y))
 
     return _node(y, (x,), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ConfigurationError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    y = a.data + b.data
-
-    def backward(gy):
-        a.accumulate_grad(gy)
-        # a copy, so the two grads never alias (add(x, x) included)
-        b.accumulate_grad(gy.copy())
-
-    return _node(y, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ConfigurationError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    y = a.data * b.data
-
-    def backward(gy):
-        a.accumulate_grad(gy * b.data)
-        b.accumulate_grad(gy * a.data)
-
-    return _node(y, (a, b), backward)
 
 
 def concat_channels(*xs: Tensor) -> Tensor:
@@ -674,25 +630,6 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
         g = np.zeros_like(x.data)
         g[:, start:stop] = gy
         x.accumulate_grad(g)
-
-    return _node(y, (x,), backward)
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    y = x.data * factor
-
-    def backward(gy):
-        x.accumulate_grad(gy * factor)
-
-    return _node(y, (x,), backward)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all elements as a (1,1,1,1) scalar tensor."""
-    y = np.array(x.data.sum(), dtype=x.data.dtype).reshape(1, 1, 1, 1)
-
-    def backward(gy):
-        x.accumulate_grad(np.full_like(x.data, gy.reshape(())))
 
     return _node(y, (x,), backward)
 

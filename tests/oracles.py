@@ -1,14 +1,22 @@
 """Independent brute-force reference implementations used as test oracles,
-and the traced-memory probe that the memory tests share.
+the separate graph ops that the library fuses, and the traced-memory probe
+that the memory tests share.
 
-Everything here is written as plain nested loops over the defining formulas,
-deliberately sharing no code with the library's vectorized paths.
+The numeric references are written as plain nested loops over the defining
+formulas, deliberately sharing no code with the library's vectorized paths.
+The graph references (``leaky_relu``, ``add``, ``scale``) are ops of the
+autodiff graph that the library runs fused: a conv's ``slope`` and ``skip``,
+and the offset doubling inside ``upsample_offsets``. Tests compare the fused
+ops against compositions of these, bit for bit.
 """
 
 import gc
 import tracemalloc
 
 import numpy as np
+
+from sadnet import tensor as T
+from sadnet.gradcheck import _proj_loss
 
 
 def traced_peak(fn):
@@ -22,6 +30,58 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def total(y):
+    """sum(y) as a scalar graph node: gradcheck's projection loss with a
+    projection of ones that costs no memory (a broadcast view)."""
+    return _proj_loss(y, np.broadcast_to(np.ones((), y.dtype), y.shape))
+
+
+def leaky_relu(x, slope=0.2):
+    """max(x, slope*x), which is leaky ReLU for a slope in [0, 1]; backward
+    scales gy by slope where x < 0.
+
+    A conv's fused activation (``slope``) scales where its activated output
+    has its sign bit set, which is where x < 0 for every pre-activation x
+    but NaN and -0.0: -0.0 >= 0, so there this op gives gy and the fused op
+    slope*gy. A sum is -0.0 only if both terms are (an exact cancellation
+    rounds to +0.0), so a conv with a bias yields -0.0 only where its bias
+    is -0.0, and the model's convs, which all have one, match this op bit
+    for bit.
+    """
+    y = x.data * slope
+    np.maximum(x.data, y, out=y)
+
+    def backward(gy):
+        # the sign comes again from x, so forward keeps no mask; scaling the
+        # gradient itself keeps its dtype
+        x.accumulate_grad(np.where(x.data >= 0, gy, slope * gy))
+
+    return T._node(y, (x,), backward)
+
+
+def add(a, b):
+    """a + b, the residual join that a conv's ``skip`` fuses."""
+    y = a.data + b.data
+
+    def backward(gy):
+        a.accumulate_grad(gy)
+        # a copy, so the two grads never alias (add(x, x) included)
+        b.accumulate_grad(gy.copy())
+
+    return T._node(y, (a, b), backward)
+
+
+def scale(x, factor):
+    """x * factor: the doubling that ``upsample_offsets`` applies to the
+    upsampled offsets."""
+    y = x.data * factor
+
+    def backward(gy):
+        x.accumulate_grad(gy * factor)
+
+    return T._node(y, (x,), backward)
 
 
 def bilinear_sample(feature: np.ndarray, y: float, x: float,

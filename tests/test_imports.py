@@ -93,3 +93,35 @@ def test_every_private_name_is_read():
                for name, line in _private_definitions(tree)]
     assert len(defined) > 0
     assert [f"{at} {name}" for at, name in defined if name not in read] == []
+
+
+def _tensor_reads(tree: ast.Module):
+    """The names of ``tensor.py`` that a module reads: attributes of the
+    names it binds to the module (``from . import tensor as T``) and the
+    names it imports from ``.tensor``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "tensor":
+                yield from (alias.name for alias in node.names)
+            elif node.module is None:
+                aliases.update(alias.asname or alias.name
+                               for alias in node.names
+                               if alias.name == "tensor")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            yield node.attr
+
+
+def test_every_tensor_op_is_read():
+    """Each public function of ``tensor.py`` serves another module of the
+    package; an op only tests call does not belong in the core."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    public = [node.name for node in trees["tensor.py"].body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    read = {name for module, tree in trees.items() if module != "tensor.py"
+            for name in _tensor_reads(tree)}
+    assert len(public) > 0
+    assert [name for name in public if name not in read] == []

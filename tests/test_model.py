@@ -6,13 +6,15 @@ import pytest
 from sadnet import model as M
 from sadnet import tensor as T
 from sadnet.errors import ConfigurationError, UsageError
+from sadnet.gradcheck import _proj_loss
 from sadnet.model import (ContextBlock, Conv2d, ModelConfig, OffsetTransfer,
                           RSAB, ResBlock, SADNet, bilinear_upsample_x2,
                           count_params_flops, export_offsets, upsample_offsets)
 from sadnet.optim import AdamState, adam_step
 from sadnet.tensor import Tensor
 
-from oracles import bilinear_upsample_reference, traced_peak
+from oracles import (add, bilinear_upsample_reference, leaky_relu, scale,
+                     traced_peak)
 
 
 def micro_config(**kw):
@@ -31,7 +33,7 @@ def _assert_same_values_and_grads(builds, inputs, weights, proj):
     for build in builds:
         ts = [Tensor(a, requires_grad=True) for a in inputs]
         y = build(*ts)
-        T.tensor_sum(T.mul(y, Tensor(proj))).backward()
+        _proj_loss(y, proj).backward()
         runs.append([y.data] + [t.grad for t in ts]
                     + [w.grad for w in weights])
         T.zero_grads(weights)
@@ -57,9 +59,9 @@ class TestResBlock:
         data = rng.standard_normal((2, 3, 5, 5))
 
         def manual(x):
-            return T.add(x, T.conv2d(
-                T.leaky_relu(T.conv2d(x, block.conv1.weight, block.conv1.bias,
-                                      padding=(1, 1)), 0.2),
+            return add(x, T.conv2d(
+                leaky_relu(T.conv2d(x, block.conv1.weight, block.conv1.bias,
+                                    padding=(1, 1)), 0.2),
                 block.conv2.weight, block.conv2.bias, padding=(1, 1)))
         _assert_same_values_and_grads(
             (block, manual), [data], [block.conv1.weight, block.conv2.weight],
@@ -97,8 +99,8 @@ class TestRSAB:
                   rng.uniform(0.1, 0.9, (1, 9, 4, 4))]
 
         def manual(x, offsets, masks):
-            return T.add(x, T.conv2d(
-                T.leaky_relu(modulated_deform_conv2d(
+            return add(x, T.conv2d(
+                leaky_relu(modulated_deform_conv2d(
                     x, rsab.dconv.weight, rsab.dconv.bias, offsets, masks,
                     (1, 1)), 0.2),
                 rsab.conv2.weight, rsab.conv2.bias, padding=(1, 1)))
@@ -128,7 +130,7 @@ class TestUpsampleOffsets:
     def test_equals_doubling_after_upsampling_bit_for_bit(self, rng):
         # subnormal output gradients: doubling them before the backward
         # GEMMs rounds otherwise than doubling the GEMMs' result, so the
-        # order must be the one T.scale after the upsample gives
+        # order must be the reference's: ``scale`` after the upsample
         off, mask = (rng.standard_normal(s).astype(np.float32)
                      for s in ((2, 18, 5, 6), (2, 9, 5, 6)))
         proj = (rng.standard_normal((2, 27, 10, 12))
@@ -136,7 +138,7 @@ class TestUpsampleOffsets:
                 ).astype(np.float32)
 
         def doubled_after(o, m):
-            return T.concat_channels(T.scale(bilinear_upsample_x2(o), 2.0),
+            return T.concat_channels(scale(bilinear_upsample_x2(o), 2.0),
                                      bilinear_upsample_x2(m))
         _assert_same_values_and_grads(
             (lambda o, m: T.concat_channels(*upsample_offsets(o, m)),
@@ -271,41 +273,42 @@ class TestSADNet:
 
 def composed_forward(model, x):
     """``model.forward`` in primitive ops: every residual join an ``add``
-    of a conv output, and the offset fields doubled by ``scale`` after the
-    upsample."""
+    of a conv output, every activation a ``leaky_relu`` after its conv, and
+    the offset fields doubled by ``scale`` after the upsample (the graph
+    references of ``oracles``)."""
     cfg = model.config
     f = model.head(x)
     enc = []
     for s in range(cfg.scales):
         for b in model.enc[s]:
-            f = T.add(f, b.conv2(T.leaky_relu(b.conv1(f), b.slope)))
+            f = add(f, b.conv2(leaky_relu(b.conv1(f), b.slope)))
         enc.append(f)
         if s < cfg.scales - 1:
             f = model.down[s](f)
     ctx = model.context
-    g = T.leaky_relu(ctx.compress(enc[-1]), ctx.slope)
-    d = T.add(enc[-1], ctx.fuse(T.concat_channels(
-        *[T.leaky_relu(branch(g), ctx.slope) for branch in ctx.branches])))
+    g = leaky_relu(ctx.compress(enc[-1]), ctx.slope)
+    d = add(enc[-1], ctx.fuse(T.concat_channels(
+        *[leaky_relu(branch(g), ctx.slope) for branch in ctx.branches])))
     prev = None
     for s in range(cfg.scales - 1, -1, -1):
         if s < cfg.scales - 1:
             d = model.fuse[s](T.concat_channels(enc[s], d))
         ot = model.offset[s]
-        h = T.leaky_relu(ot.conv1(d), ot.slope)
+        h = leaky_relu(ot.conv1(d), ot.slope)
         if prev is not None:
             h = T.concat_channels(
-                h, T.scale(bilinear_upsample_x2(prev[0]), 2.0),
+                h, scale(bilinear_upsample_x2(prev[0]), 2.0),
                 bilinear_upsample_x2(prev[1]))
         raw = ot.head(h)
         offsets = T.slice_channels(raw, 0, 2 * ot.k_taps)
         masks = T.sigmoid(T.slice_channels(raw, 2 * ot.k_taps, 3 * ot.k_taps))
         for b in model.rsabs[s]:
-            d = T.add(d, b.conv2(T.leaky_relu(b.dconv(d, offsets, masks),
-                                              b.slope)))
+            d = add(d, b.conv2(leaky_relu(b.dconv(d, offsets, masks),
+                                          b.slope)))
         prev = (offsets, masks)
         if s > 0:
             d = model.up[s - 1](d)
-    return T.add(x, model.tail(d))
+    return add(x, model.tail(d))
 
 
 SMOKE = ModelConfig(in_channels=1, channels_per_scale=(8, 16, 32, 64))

@@ -24,7 +24,7 @@ from sadnet.training import (TrainConfig, denoise_image, denoise_tensor,
 from sadnet import data as data_module, training as training_mod
 
 from conftest import synth_buffer
-from oracles import sample_batch_reference
+from oracles import sample_batch_reference, total
 from test_model import micro_config
 
 
@@ -179,13 +179,10 @@ class TestTrainingLoop:
         with pytest.raises(DataError, match="channels_per_scale"):
             train(cfg, resume_from=mid)
 
-    def test_nonfinite_loss_aborts_with_diagnostic(self, rng, tmp_path):
+    def test_nonfinite_loss_aborts_with_diagnostic(self, rng, tmp_path,
+                                                   monkeypatch):
         cfg = tiny_train_config(tmp_path, rng, max_iters=3, lr=1e-3)
-        model = SADNet(cfg.model, rng=np.random.default_rng(cfg.seed),
-                       dtype=np.float32)
         # poison the initial weights so the first forward pass overflows
-        model_params = dict(model.params())
-        import sadnet.training as training_mod
         orig = training_mod.SADNet
 
         def poisoned(config, rng, dtype):
@@ -195,12 +192,11 @@ class TestTrainingLoop:
                     p.data[:] = np.float32(1e30)
             return m
 
-        training_mod.SADNet = poisoned
-        try:
+        monkeypatch.setattr(training_mod, "SADNet", poisoned)
+        # the overflow is the point of the test
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="non-finite loss"):
                 train(cfg)
-        finally:
-            training_mod.SADNet = orig
         diag = tmp_path / "ckpt" / "ckpt_nonfinite.sadn"
         assert diag.exists()
         assert load_checkpoint(diag).iteration == 0
@@ -529,11 +525,13 @@ class TestGradientDtype:
         f32 = np.dtype(np.float32)
         assert set(seen) == {(f32, f32)}
 
-    def test_leaky_relu_backward_keeps_dtype(self, rng):
+    def test_fused_leaky_relu_backward_keeps_dtype(self, rng):
+        # an identity 1x1 conv with slope 0.2 is the leaky ReLU itself
         for dtype in (np.float32, np.float64):
             x = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(dtype),
                        requires_grad=True)
-            T.tensor_sum(T.leaky_relu(x)).backward()
+            eye = Tensor(np.eye(2, dtype=dtype).reshape(2, 2, 1, 1))
+            total(T.conv2d(x, eye, slope=0.2)).backward()
             assert x.grad.dtype == dtype
             np.testing.assert_array_equal(
                 x.grad, np.where(x.data >= 0, 1.0, 0.2).astype(dtype))
@@ -686,8 +684,8 @@ class TestGradcheckNegativeControl:
         x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
 
         def build():
-            y = T.mul(x, x)
-            out = T.tensor_sum(y)
+            y = T.sigmoid(x)
+            out = total(y)
             inner = y._backward
 
             def corrupted():
